@@ -1,8 +1,8 @@
 // Engineering micro-benchmarks for the message-passing runtime
-// (google-benchmark): the delivery primitives the two executors are built
-// from — mutex+condvar Mailbox (legacy thread-per-rank) vs the sharded
-// LocalFifo ring and batched ShardInbox — and whole-epoch setup/teardown
-// cost as the rank count grows toward the paper's 36 864-rank prototype.
+// (google-benchmark): the delivery primitives the sharded executor is built
+// from — the intra-shard LocalFifo ring and the cross-shard SPSC ring mesh —
+// and whole-epoch setup/teardown cost as the rank count grows toward the
+// paper's 36 864-rank prototype.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "rt/engine.hpp"
-#include "rt/mailbox.hpp"
 #include "rt/shard_queue.hpp"
 #include "topology/factory.hpp"
 
@@ -30,19 +29,6 @@ rt::Envelope make_envelope(std::int64_t i) {
 
 // --- delivery primitives ----------------------------------------------------
 
-// Legacy path: one mutex acquisition per push and per pop.
-void BM_MailboxPushPop(benchmark::State& state) {
-  rt::Mailbox mailbox;
-  rt::Envelope out;
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    mailbox.push(make_envelope(++i));
-    benchmark::DoNotOptimize(mailbox.try_pop(out));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MailboxPushPop);
-
 // Sharded intra-shard path: plain ring buffer, no locks.
 void BM_LocalFifoPushPop(benchmark::State& state) {
   rt::LocalFifo fifo;
@@ -56,35 +42,11 @@ void BM_LocalFifoPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalFifoPushPop);
 
-// Sharded cross-shard path: a whole staged batch through one lock
-// acquisition, drained with one swap — items/sec counts envelopes, so this
-// is directly comparable with the per-message numbers above.
-void BM_ShardInboxBatch(benchmark::State& state) {
-  const auto batch_size = static_cast<std::size_t>(state.range(0));
-  rt::ShardInbox inbox(std::size_t{1} << 16);
-  std::vector<rt::Envelope> staged;
-  staged.reserve(batch_size);
-  std::vector<rt::Envelope> drain;
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    staged.clear();
-    for (std::size_t k = 0; k < batch_size; ++k) staged.push_back(make_envelope(++i));
-    benchmark::DoNotOptimize(inbox.push_batch(staged));
-    inbox.drain_into(drain);
-    benchmark::DoNotOptimize(drain.size());
-    drain.clear();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch_size));
-}
-BENCHMARK(BM_ShardInboxBatch)->Arg(1)->Arg(16)->Arg(256);
-
 // --- cross-shard delivery under contention ----------------------------------
 //
-// S worker threads exchange envelope batches through the executor's two
-// cross-shard backends — the locked MPSC ShardInbox (one per shard) vs the
-// lock-free SPSC ring mesh (one ring per ordered pair) — driven directly,
-// so the contention profile is isolated from protocol and scheduling cost.
+// S worker threads exchange envelope batches through the executor's
+// lock-free SPSC ring mesh (one ring per ordered pair), driven directly, so
+// the contention profile is isolated from protocol and scheduling cost.
 // Two traffic shapes: all-pairs (every shard batches to every other shard
 // each round — the densest mesh load) and random-peer (each shard picks one
 // pseudo-random destination per round — the sparse, skewed shape of real
@@ -96,17 +58,11 @@ constexpr std::size_t kStormRounds = 128;
 /// One storm: S threads, kStormRounds rounds of batched pushes plus
 /// cooperative draining, terminated by per-producer done markers (tagged
 /// kCorrection) so consumers know when their column is dry. Returns total
-/// envelopes exchanged. Mesh pushes retry with a self-drain between
-/// attempts, so bounded rings cannot deadlock a push cycle; the inbox
-/// capacity covers a whole storm, matching the engine's default headroom.
-std::int64_t cross_shard_storm(std::size_t num_shards, bool mesh, bool all_pairs) {
+/// envelopes exchanged. Pushes retry with a self-drain between attempts,
+/// so bounded rings cannot deadlock a push cycle.
+std::int64_t cross_shard_storm(std::size_t num_shards, bool all_pairs) {
   std::deque<rt::SpscRing> rings;
-  std::deque<rt::ShardInbox> inboxes;
-  if (mesh) {
-    for (std::size_t i = 0; i < num_shards * num_shards; ++i) rings.emplace_back(1024);
-  } else {
-    for (std::size_t i = 0; i < num_shards; ++i) inboxes.emplace_back(std::size_t{1} << 16);
-  }
+  for (std::size_t i = 0; i < num_shards * num_shards; ++i) rings.emplace_back(1024);
   std::barrier start(static_cast<std::ptrdiff_t>(num_shards));
   std::atomic<std::int64_t> total{0};
   {
@@ -122,12 +78,8 @@ std::int64_t cross_shard_storm(std::size_t num_shards, bool mesh, bool all_pairs
         std::int64_t sent = 0;
         std::size_t done_seen = 0;
         const auto drain_own = [&] {
-          if (mesh) {
-            for (std::size_t from = 0; from < num_shards; ++from) {
-              if (from != s) rings[from * num_shards + s].pop_all_into(drain);
-            }
-          } else {
-            inboxes[s].drain_into(drain);
+          for (std::size_t from = 0; from < num_shards; ++from) {
+            if (from != s) rings[from * num_shards + s].pop_all_into(drain);
           }
           for (const rt::Envelope& e : drain) {
             if (e.msg.tag == sim::tag::kCorrection) ++done_seen;
@@ -135,21 +87,17 @@ std::int64_t cross_shard_storm(std::size_t num_shards, bool mesh, bool all_pairs
           drain.clear();
         };
         const auto push_to = [&](std::size_t d, const std::vector<rt::Envelope>& data) {
-          if (mesh) {
-            std::size_t off = 0;
-            while (off < data.size()) {
-              off += rings[s * num_shards + d].push_batch(data.data() + off,
-                                                          data.size() - off);
-              if (off < data.size()) {
-                // Full ring: drain our own column so a push cycle cannot
-                // deadlock, then yield — the consumer may need the core
-                // (the engine parks on its Doorbell here instead).
-                drain_own();
-                std::this_thread::yield();
-              }
+          std::size_t off = 0;
+          while (off < data.size()) {
+            off += rings[s * num_shards + d].push_batch(data.data() + off,
+                                                        data.size() - off);
+            if (off < data.size()) {
+              // Full ring: drain our own column so a push cycle cannot
+              // deadlock, then yield — the consumer may need the core
+              // (the engine parks on its Doorbell here instead).
+              drain_own();
+              std::this_thread::yield();
             }
-          } else {
-            inboxes[d].push_batch(data);  // capacity covers the whole storm
           }
           sent += static_cast<std::int64_t>(data.size());
         };
@@ -183,39 +131,25 @@ std::int64_t cross_shard_storm(std::size_t num_shards, bool mesh, bool all_pairs
 
 void BM_CrossShardAllPairs(benchmark::State& state) {
   const auto num_shards = static_cast<std::size_t>(state.range(0));
-  const bool mesh = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cross_shard_storm(num_shards, mesh, true));
+    benchmark::DoNotOptimize(cross_shard_storm(num_shards, true));
   }
   const auto per_storm = static_cast<std::int64_t>(
       num_shards * (num_shards - 1) * (kStormRounds * kStormBatch + 1));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * per_storm);
-  state.SetLabel(mesh ? "spsc-mesh" : "locked-inbox");
 }
-BENCHMARK(BM_CrossShardAllPairs)
-    ->ArgNames({"workers", "mesh"})
-    ->Args({2, 0})->Args({2, 1})
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->UseRealTime();
+BENCHMARK(BM_CrossShardAllPairs)->ArgName("workers")->Arg(2)->Arg(8)->Arg(16)->UseRealTime();
 
 void BM_CrossShardRandomPeer(benchmark::State& state) {
   const auto num_shards = static_cast<std::size_t>(state.range(0));
-  const bool mesh = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cross_shard_storm(num_shards, mesh, false));
+    benchmark::DoNotOptimize(cross_shard_storm(num_shards, false));
   }
   const auto per_storm = static_cast<std::int64_t>(
       num_shards * (kStormRounds * kStormBatch + num_shards - 1));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * per_storm);
-  state.SetLabel(mesh ? "spsc-mesh" : "locked-inbox");
 }
-BENCHMARK(BM_CrossShardRandomPeer)
-    ->ArgNames({"workers", "mesh"})
-    ->Args({2, 0})->Args({2, 1})
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->UseRealTime();
+BENCHMARK(BM_CrossShardRandomPeer)->ArgName("workers")->Arg(2)->Arg(8)->Arg(16)->UseRealTime();
 
 // --- whole-epoch costs ------------------------------------------------------
 
@@ -280,25 +214,6 @@ void BM_ShardedBroadcastEpoch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * procs);
 }
 BENCHMARK(BM_ShardedBroadcastEpoch)->Arg(1024)->Arg(4096)->Arg(16384);
-
-// The legacy executor at a size it still handles — the A/B baseline for
-// BM_ShardedBroadcastEpoch (same protocol, same metric).
-void BM_ThreadPerRankBroadcastEpoch(benchmark::State& state) {
-  const auto procs = static_cast<topo::Rank>(state.range(0));
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  rt::EngineOptions options;
-  options.threading = rt::Threading::kThreadPerRank;
-  rt::Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
-                    options);
-  for (auto _ : state) {
-    BinomialBroadcast protocol(tree);
-    const rt::EpochResult result =
-        engine.run_epoch(protocol, std::chrono::seconds(10));
-    benchmark::DoNotOptimize(result.total_messages);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * procs);
-}
-BENCHMARK(BM_ThreadPerRankBroadcastEpoch)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -16,8 +16,8 @@
 //   +-- collective: bcast | reduce | allreduce
 //
 // The same spec runs unmodified under exec=sim (replicated LogP simulation
-// through the ReplicaPlan path), exec=rt-sharded / exec=rt-tpr (wall clock
-// epochs on rt::Engine + measure_broadcast), and exec=rt-udp (forked OS
+// through the ReplicaPlan path), exec=rt-sharded (wall-clock epochs on
+// rt::Engine + measure_broadcast), and exec=rt-udp (forked OS
 // processes exchanging real loopback datagrams under the perfect-links
 // layer, DESIGN.md §4j); exp::run returns one RunRecord with the identical
 // metric key set either way (latency_unit tells model ticks from
@@ -42,7 +42,6 @@ enum class Collective {
 enum class Executor {
   kSim,             ///< LogP discrete-event simulator, `reps` replications
   kRtSharded,       ///< rt::Engine M:N sharded executor, `reps` epochs
-  kRtThreadPerRank, ///< rt::Engine legacy 1:1 executor
   kRtUdp,           ///< forked processes over loopback UDP perfect links
 };
 
@@ -133,11 +132,8 @@ struct RunSpec {
   double rate = 0.0;  ///< open-loop offered epochs/s (sim: model-time, 1 tick ≙ 1 µs)
   std::int64_t chunk = 0;  ///< chunk size in bytes; 0 = unchunked
 
-  // --- rt-sharded executor knobs (exec=rt-sharded:w=8:inbox:pin:mesh-cap=N).
-  // Defaults (mesh, no pinning, engine-default capacity) are canonical, so
-  // existing spec strings and golden outputs are unchanged.
-  bool rt_locked_inbox = false;     ///< ':inbox' — legacy locked MPSC inbox
-  bool rt_pin = false;              ///< ':pin' — shard→core thread pinning
+  // --- rt-sharded executor knobs (exec=rt-sharded:w=8:mesh-cap=N). The
+  // engine-default capacity is canonical: to_string() omits it.
   std::int64_t rt_mesh_capacity = 0;  ///< ':mesh-cap=N' per-pair ring; 0 = default
 
   // --- rt-udp executor knobs (exec=rt-udp[:port-base=N][:procs=N]). The
@@ -168,16 +164,16 @@ struct RunSpec {
 };
 
 /// Inverse of RunSpec::to_string(); accepts keys in any order plus a few
-/// input conveniences ("2%" fractions, "rt-thread-per-rank", "sync"
-/// aliases). Throws std::invalid_argument with a message naming the
-/// offending token.
+/// input conveniences ("2%" fractions, "sync" aliases). Throws
+/// std::invalid_argument with a message naming the offending token.
 RunSpec parse_run_spec(const std::string& text);
 
-/// Parses one exec= token — "sim", "rt-sharded[:w=N][:inbox][:pin]
-/// [:mesh-cap=N]", "rt-tpr" (alias "rt-thread-per-rank"),
+/// Parses one exec= token — "sim", "rt-sharded[:w=N][:mesh-cap=N]",
 /// "rt-udp[:port-base=N][:procs=N]" — into spec.executor and the rt knobs.
 /// The shared executor-name table for CLIs taking the executor as its own
-/// flag. Throws std::invalid_argument on unknown names or options.
+/// flag. Throws std::invalid_argument on unknown names or options, and
+/// names the removal for the retired thread-per-rank executor
+/// ("rt-tpr", "rt-thread-per-rank") and the ':inbox'/':pin' options.
 void parse_executor(const std::string& text, RunSpec& spec);
 
 /// Outcome of one RunSpec execution. One struct for both substrates;

@@ -8,7 +8,7 @@
 // "messages vanish without feedback" semantics, now at arbitrary times.
 //
 // Every decision is a pure hash of (seed, epoch, rank[, send index]) — the
-// plan keeps no mutable state, so both executors, any worker interleaving,
+// plan keeps no mutable state, so every executor, any worker interleaving,
 // and re-runs of the same seed consult identical schedules. What *is*
 // timing-dependent is which scheduled crashes take effect: a rank slated to
 // crash at t = 1.5 ms never does if the epoch completes in 0.9 ms. The

@@ -7,21 +7,16 @@
 // ("Processes 'failed' during benchmark initialization and stayed as such
 // during the whole benchmark run").
 //
-// Two executor backends, selected by EngineOptions::threading:
-//
-//  * kSharded (default) — an M:N scheduler: N worker threads (default
-//    hardware_concurrency), each owning a contiguous slice of ranks whose
-//    state machines it steps cooperatively. Intra-shard delivery is a plain
-//    per-rank ring buffer (no locks — single-threaded within a shard);
-//    cross-shard delivery batches through a lock-free SPSC ring per ordered
-//    shard pair (or, behind EngineOptions::cross_shard, the legacy locked
-//    MPSC inbox kept for A/B). Workers only step ranks with pending work —
-//    an active-set run queue replaces the full slice scan per pass.
-//    This is the path that reaches the paper's 36 864-rank prototype scale.
-//
-//  * kThreadPerRank — the original executor: one OS thread and one
-//    mutex+condvar Mailbox per live rank. Kept for A/B comparison; thrashes
-//    past a few hundred ranks on small hosts.
+// One executor: an M:N scheduler (engine_sharded.cpp). N worker threads
+// (default hardware_concurrency) each own a contiguous slice of ranks whose
+// state machines they step cooperatively. Intra-shard delivery is a plain
+// per-rank ring buffer (no locks — single-threaded within a shard);
+// cross-shard delivery batches through a lock-free SPSC ring per ordered
+// shard pair. Workers only step ranks with pending work — an active-set run
+// queue replaces the full slice scan per pass. This is the path that
+// reaches the paper's 36 864-rank prototype scale. A one-shot epoch and a
+// windowed stream run through the same rank stepper: run_epoch is window
+// slot 0 of a one-slot window.
 //
 // An Engine is persistent: it spawns its threads once and then executes a
 // sequence of epochs (benchmark iterations). Within an epoch each rank
@@ -101,8 +96,7 @@ struct EpochResult {
 // A stream is a sequence of epochs admitted through a sliding window of W
 // concurrently-executing in-flight epochs — the per-epoch barrier bracket of
 // run_epoch is replaced by per-epoch completion countdowns, so epoch e+1's
-// dissemination overlaps epoch e's correction tail. Only the sharded
-// executor supports streams.
+// dissemination overlaps epoch e's correction tail.
 
 struct StreamOptions {
   /// Measured epochs to admit (the whole stream; no separate warmup —
@@ -160,42 +154,17 @@ struct StreamResult {
   std::int64_t repairs = 0;
 };
 
-/// How ranks map onto OS threads.
-enum class Threading {
-  kSharded,        ///< M:N — worker shards stepping rank slices (default)
-  kThreadPerRank,  ///< legacy 1:1 — kept for A/B comparison
-};
-
-/// Cross-shard delivery structure of the sharded executor (DESIGN.md §4f).
-enum class CrossShard {
-  kSpscMesh,     ///< lock-free SPSC ring per ordered shard pair (default)
-  kLockedInbox,  ///< legacy mutex MPSC inbox per shard — kept for A/B
-};
-
 struct EngineOptions {
-  Threading threading = Threading::kSharded;
-  /// Sharded path: worker (= shard) count; <= 0 means hardware_concurrency.
+  /// Worker (= shard) count; <= 0 means hardware_concurrency.
   /// Clamped to the rank count (no empty shards) and to an oversubscription
   /// cap of max(16, 8 × hardware_concurrency()) — past that, extra shards
   /// only grow the S² ring mesh and timeshare a fixed core budget.
   int workers = 0;
-  /// Sharded path: cross-shard delivery backend.
-  CrossShard cross_shard = CrossShard::kSpscMesh;
-  /// Sharded path (kLockedInbox): cross-shard inbox capacity in envelopes,
-  /// per shard. Producers stage overflow locally and retry, so this only
-  /// bounds memory. Must be >= 1 (the Engine constructor rejects 0).
-  std::size_t inbox_capacity = std::size_t{1} << 16;
-  /// Sharded path (kSpscMesh): per-ordered-pair ring capacity in envelopes,
-  /// rounded up to a power of two. Mesh memory is S² × capacity ×
-  /// sizeof(Envelope); backpressure (staged retry) keeps any capacity
-  /// correct, so small rings are safe. Must be >= 1 (constructor rejects 0).
+  /// Per-ordered-pair ring capacity in envelopes, rounded up to a power of
+  /// two. Mesh memory is S² × capacity × sizeof(Envelope); backpressure
+  /// (staged retry) keeps any capacity correct, so small rings are safe.
+  /// Must be >= 1 (the constructor rejects 0).
   std::size_t mesh_capacity = 1024;
-  /// Sharded path: pin worker s to core (s mod hardware_concurrency()).
-  /// Best effort (Linux only; silently a no-op elsewhere or on failure).
-  /// With contiguous rank slices this keeps a shard's rank state and the
-  /// rings it owns on the node that first touches them — the NUMA story is
-  /// placement by first touch plus a stable shard→core map.
-  bool pin_threads = false;
   /// Hard upper bound on any epoch's wall time; 0 = none. Combined with the
   /// per-call run_epoch timeout (the smaller positive bound wins), so chaos
   /// soaks always terminate: on expiry the engine force-quiesces and the
@@ -224,16 +193,15 @@ class Engine {
   topo::Rank num_procs() const noexcept { return num_procs_; }
   topo::Rank live_count() const noexcept { return live_count_; }
   const EngineOptions& options() const noexcept { return options_; }
-  /// OS threads the chosen backend actually runs (shards, or live ranks).
+  /// Worker (shard) threads the executor runs.
   std::size_t worker_threads() const noexcept;
 
   /// Executes one epoch of `protocol` (freshly constructed by the caller)
   /// and returns its timing. Serializes epochs internally.
   EpochResult run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout);
 
-  /// Runs a windowed epoch stream (see StreamOptions). Sharded backend
-  /// only; throws std::runtime_error on the thread-per-rank executor.
-  /// Serializes with run_epoch — never call both concurrently.
+  /// Runs a windowed epoch stream (see StreamOptions). Serializes with
+  /// run_epoch — never call both concurrently.
   StreamResult run_stream(const ProtocolFactory& factory, const StreamOptions& options);
 
   /// Installs (or, with a default-constructed plan, removes) a fault-
@@ -268,26 +236,6 @@ class Engine {
     return dead_[static_cast<std::size_t>(r)] != 0;
   }
 
-  /// Internal: executor backend interface (see engine.cpp / engine_sharded.cpp).
-  class Impl {
-   public:
-    virtual ~Impl() = default;
-    virtual EpochResult run_epoch(sim::Protocol& protocol, std::int64_t timeout_ns) = 0;
-    /// Windowed epoch stream; timeout_ns is the resolved per-epoch deadline
-    /// (0 = none). Backends without stream support throw (the default).
-    virtual StreamResult run_stream(const ProtocolFactory& factory,
-                                    const StreamOptions& options, std::int64_t timeout_ns);
-    virtual std::size_t worker_threads() const noexcept = 0;
-    /// nullptr disables injection. The plan outlives all epochs run under it.
-    virtual void set_chaos(const ChaosPlan* plan) = 0;
-    /// Repair pass (EngineOptions::repair): adopt a new persistent dead set
-    /// (superset of the construction failure flags) for subsequent epochs.
-    /// Called only between epochs, while all workers are parked. Backends
-    /// without repair support throw (the default).
-    virtual void set_membership(const std::vector<char>& dead,
-                                topo::Rank live_count, std::int32_t generation);
-  };
-
  private:
   topo::Rank num_procs_;
   std::vector<char> failed_;
@@ -295,12 +243,12 @@ class Engine {
   topo::Rank live_count_ = 0;
   ChaosPlan chaos_;
   /// Repair mode: current persistent dead set (failed_ plus persisted chaos
-  /// crashes minus revivals); equals failed_ when repair is off. Declared
-  /// before impl_ — the executor references it during destruction.
+  /// crashes minus revivals); equals failed_ when repair is off.
   std::vector<char> dead_;
   MembershipView membership_;
   std::int32_t generation_ = 0;
-  std::unique_ptr<Impl> impl_;  // last member: destroyed before the state it references
+  class Sharded;  // the executor (engine_sharded.cpp)
+  std::unique_ptr<Sharded> sharded_;  // last member: destroyed before the state it references
 };
 
 }  // namespace ct::rt

@@ -1,9 +1,9 @@
 #pragma once
 // The runtime's wire unit: a simulator Message plus the delivery tag
 // (benchmark epoch + membership generation) it belongs to. Every delivery
-// structure of the runtime — the legacy per-rank Mailbox, the sharded
-// LocalFifo and the cross-shard SPSC mesh / ShardInbox — moves Envelopes;
-// receivers drop stale-tag leftovers.
+// structure of the runtime — the per-rank LocalFifo, the cross-shard SPSC
+// mesh and the UDP datagrams — moves Envelopes; receivers drop stale-tag
+// leftovers.
 //
 // The tag rides in Message::spare (the word that used to be struct
 // padding), so an Envelope is exactly one 32-byte Message: two per cache

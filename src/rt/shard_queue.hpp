@@ -1,30 +1,27 @@
 #pragma once
 // Delivery structures for the sharded M:N runtime (DESIGN.md §4c, §4f).
-// Three tiers, matching the kinds of traffic a shard sees:
+// The kinds of traffic a shard sees, plus parking:
 //
 //  * LocalFifo — intra-shard delivery. A plain growable ring buffer, one per
 //    rank, touched only by the worker thread that owns the rank's shard, so
 //    pushes and pops are straight-line code with no atomics or locks.
 //
-//  * SpscRing — cross-shard delivery, default path. One bounded lock-free
-//    ring per *ordered shard pair*: exactly one producing shard, exactly one
+//  * StagedQueue — a shard's outgoing cross-shard envelopes per
+//    destination, staged during a pass and flushed at its end; the
+//    backlog behind a full ring waits here, in order.
+//
+//  * SpscRing — cross-shard delivery. One bounded lock-free ring per
+//    *ordered shard pair*: exactly one producing shard, exactly one
 //    consuming shard, so the only synchronization is an acquire/release pair
 //    on the head and tail indices. Batches amortize even that: one release
 //    store publishes a whole staged batch, one acquire load claims every
 //    pending envelope. Per-sender FIFO holds by construction — a sender's
 //    envelopes to one destination traverse a single ring in push order.
 //
-//  * ShardInbox — cross-shard delivery, legacy path (EngineOptions::
-//    cross_shard = kLockedInbox). One bounded MPSC inbox per shard:
-//    producing shards append whole batches under a single lock acquisition
-//    and the owner drains everything with one swap. Kept for interleaved
-//    A/B against the mesh.
-//
-//  * Doorbell — parking for the mesh path, where there is no inbox lock to
-//    sleep on. An eventcount: waiters advertise themselves, producers ring
-//    only when someone is parked, and a seq_cst fence pair on each side
-//    closes the classic sleep/publish race (same lost-wakeup discipline as
-//    ShardInbox::kick, without touching the mutex on the hot path).
+//  * Doorbell — parking for the mesh, where there is no lock to sleep on.
+//    An eventcount: waiters advertise themselves, producers ring only when
+//    someone is parked, and a seq_cst fence pair on each side closes the
+//    classic sleep/publish race without touching the mutex on the hot path.
 
 #include <algorithm>
 #include <atomic>
@@ -33,6 +30,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -109,13 +107,71 @@ class LocalFifo {
   std::size_t size_ = 0;
 };
 
+/// One shard's outgoing envelopes for one destination shard, in send order,
+/// waiting for room in the pair's ring. Stored in fixed-size blocks: a
+/// backlog behind a full ring grows without reallocating (a doubling vector
+/// briefly holds two copies of a multi-megabyte backlog, and a checked-
+/// correction probe storm stages ~100k envelopes) and drains from the front
+/// without moving the rest. Drained blocks are kept for reuse, so a steady
+/// state allocates nothing.
+class StagedQueue {
+ public:
+  static constexpr std::size_t kBlock = 4096;
+
+  bool empty() const noexcept { return blocks_.empty(); }
+
+  void push_back(const Envelope& envelope) {
+    if (blocks_.empty() || blocks_.back().size() == kBlock) {
+      if (spare_.empty()) {
+        blocks_.emplace_back().reserve(kBlock);
+      } else {
+        blocks_.push_back(std::move(spare_.back()));
+        spare_.pop_back();
+      }
+    }
+    blocks_.back().push_back(envelope);
+  }
+
+  /// Offers the queue front to `send(data, n)`, which returns how many
+  /// envelopes it accepted, one block at a time; stops at the first partial
+  /// accept, so order is kept. Returns whether anything was accepted.
+  template <class Send>
+  bool flush(Send&& send) {
+    bool any = false;
+    while (!blocks_.empty()) {
+      const std::vector<Envelope>& front = blocks_.front();
+      const std::size_t accepted = send(front.data() + head_, front.size() - head_);
+      any |= accepted > 0;
+      head_ += accepted;
+      if (head_ < front.size()) break;
+      retire_front();
+    }
+    return any;
+  }
+
+  void clear() {
+    while (!blocks_.empty()) retire_front();
+  }
+
+ private:
+  void retire_front() {
+    blocks_.front().clear();
+    spare_.push_back(std::move(blocks_.front()));
+    blocks_.pop_front();
+    head_ = 0;
+  }
+
+  std::deque<std::vector<Envelope>> blocks_;  // staged, oldest first; none drained
+  std::vector<std::vector<Envelope>> spare_;  // drained blocks awaiting reuse
+  std::size_t head_ = 0;                      // sent prefix of the front block
+};
+
 /// Bounded lock-free SPSC ring of envelopes for one ordered shard pair.
 /// Producer and consumer touch disjoint cache lines (indices padded apart,
 /// each side caching the other's last-seen index), so an uncontended
 /// push+pop round trip costs two atomic RMW-free publishes. Capacity is
 /// rounded up to a power of two. Backpressure is cooperative: push_batch
-/// accepts a prefix and the producer keeps the rest staged, exactly like
-/// the locked inbox path.
+/// accepts a prefix and the producer keeps the rest staged.
 class SpscRing {
  public:
   explicit SpscRing(std::size_t capacity)
@@ -227,8 +283,7 @@ class Doorbell {
     cv_.notify_all();
   }
 
-  /// Unconditional wake (epoch end, shutdown) — the once-per-epoch analogue
-  /// of ShardInbox::kick.
+  /// Unconditional wake (epoch end, shutdown).
   void kick() {
     {
       const std::scoped_lock lock(mutex_);
@@ -259,82 +314,6 @@ class Doorbell {
   std::mutex mutex_;
   std::condition_variable cv_;
   std::uint64_t generation_ = 0;
-};
-
-/// Bounded MPSC inbox: many producing shards, one draining owner. Producers
-/// that hit the capacity keep the overflow staged on their side and retry
-/// next pass, so backpressure never blocks inside the lock.
-class ShardInbox {
- public:
-  explicit ShardInbox(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-  /// Appends as many of the `n` envelopes at `data` (front first, preserving
-  /// order) as capacity allows under one lock; returns how many were
-  /// accepted.
-  std::size_t push_batch(const Envelope* data, std::size_t n) {
-    std::size_t accepted = 0;
-    bool was_empty = false;
-    {
-      const std::scoped_lock lock(mutex_);
-      was_empty = queue_.empty();
-      accepted = std::min(n, capacity_ - queue_.size());
-      queue_.insert(queue_.end(), data, data + accepted);
-    }
-    if (accepted > 0 && was_empty) cv_.notify_one();
-    return accepted;
-  }
-
-  std::size_t push_batch(const std::vector<Envelope>& batch) {
-    return push_batch(batch.data(), batch.size());
-  }
-
-  /// Park predicate for the Transport seam; exact only under the lock, which
-  /// is fine — wait_for_mail re-checks under it.
-  bool has_mail() const {
-    const std::scoped_lock lock(mutex_);
-    return !queue_.empty();
-  }
-
-  /// Owner side: moves the whole pending batch into `out` (pass it empty;
-  /// its storage is recycled as the next queue backing).
-  void drain_into(std::vector<Envelope>& out) {
-    const std::scoped_lock lock(mutex_);
-    queue_.swap(out);
-  }
-
-  /// Owner side: blocks until mail arrives, a kick() fires, or `timeout`
-  /// elapses. Same generation-counter predicate as Mailbox::pop_for — a
-  /// kick for a run-wide state change must not be lost to a race with wait
-  /// entry.
-  template <class Rep, class Period>
-  void wait_for_mail(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mutex_);
-    const std::uint64_t entry_generation = kick_generation_;
-    cv_.wait_for(lock, timeout, [&] {
-      return !queue_.empty() || kick_generation_ != entry_generation;
-    });
-  }
-
-  /// Wakes a blocked wait_for_mail even without mail (epoch end, shutdown).
-  void kick() {
-    {
-      const std::scoped_lock lock(mutex_);
-      ++kick_generation_;
-    }
-    cv_.notify_all();
-  }
-
-  void clear() {
-    const std::scoped_lock lock(mutex_);
-    queue_.clear();
-  }
-
- private:
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::uint64_t kick_generation_ = 0;
-  std::vector<Envelope> queue_;
 };
 
 }  // namespace ct::rt

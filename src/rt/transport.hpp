@@ -2,24 +2,21 @@
 // Pluggable cross-shard transport seam (DESIGN.md §4j). The sharded engine
 // stages outgoing envelopes per destination shard during a scheduling pass
 // and moves them — plus parking, wakeup and the has-mail poll — through this
-// interface instead of code welded into engine_sharded.cpp. Three transports
+// interface instead of code welded into engine_sharded.cpp. Two transports
 // implement it:
 //
-//  * MeshTransport  (transport_mem.hpp) — the default lock-free SPSC ring
-//    mesh with per-shard mail masks and Doorbell parking.
-//  * InboxTransport (transport_mem.hpp) — the legacy bounded MPSC
-//    ShardInbox, kept for interleaved A/B runs.
-//  * UdpTransport   (udp_transport.hpp) — real POSIX UDP datagrams between
+//  * MeshTransport (transport_mem.hpp) — the lock-free SPSC ring mesh with
+//    per-shard mail masks and Doorbell parking, used by the sharded engine.
+//  * UdpTransport  (udp_transport.hpp) — real POSIX UDP datagrams between
 //    OS processes with a perfect-links reliability layer; "shard" becomes
 //    "peer process".
 //
 // The interface is batch-level on purpose: every virtual call moves (or
 // polls for) a whole batch, so dispatch cost is O(shards²) per scheduling
-// pass — never O(messages) — and the ≥0.95x in-process A/B gate against the
-// pre-seam engine holds. Per-envelope delivery on the poll side goes
+// pass — never O(messages). Per-envelope delivery on the poll side goes
 // through EnvelopeSink, a non-owning two-word callable (context + function
-// pointer), because the stream executor routes each envelope by its epoch
-// tag and a plain LocalFifo& target would force an intermediate copy.
+// pointer), because the engine routes each envelope to a window slot by its
+// epoch tag and a plain LocalFifo& target would force an intermediate copy.
 //
 // Contract:
 //  * send_batch accepts a prefix (bounded rings/windows push back); the
@@ -31,8 +28,8 @@
 //  * park blocks the owner of `to` until mail, a kick, or the timeout;
 //    kick wakes it unconditionally (epoch end, shutdown).
 //  * flush lets a transport with deferred work (datagram packing,
-//    retransmit timers) make progress; the in-memory transports publish
-//    eagerly in send_batch and keep it a no-op.
+//    retransmit timers) make progress; the in-memory mesh publishes
+//    eagerly in send_batch and keeps it a no-op.
 //  * clear resets between epochs with both sides quiescent.
 
 #include <chrono>
@@ -87,7 +84,7 @@ class Transport {
   virtual void kick(std::size_t to) = 0;
 
   /// Deferred-work hook for shard `from` (datagram packing, retransmits).
-  /// The in-memory transports publish eagerly and keep this a no-op.
+  /// The in-memory mesh publishes eagerly and keeps this a no-op.
   virtual void flush(std::size_t from) { static_cast<void>(from); }
 
   /// Resets all queues between epochs. Caller guarantees both sides are

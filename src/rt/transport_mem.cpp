@@ -71,42 +71,4 @@ void MeshTransport::clear() {
   for (SpscRing& ring : rings_) ring.clear();
 }
 
-// --- InboxTransport ---------------------------------------------------------
-
-InboxTransport::InboxTransport(std::size_t num_shards, std::size_t inbox_capacity)
-    : drain_(num_shards) {
-  for (std::size_t s = 0; s < num_shards; ++s) inboxes_.emplace_back(inbox_capacity);
-}
-
-std::size_t InboxTransport::send_batch(std::size_t from, std::size_t to,
-                                       const Envelope* data, std::size_t n) {
-  static_cast<void>(from);
-  return inboxes_[to].push_batch(data, n);
-}
-
-std::size_t InboxTransport::poll_into(std::size_t to, const EnvelopeSink& sink) {
-  std::vector<Envelope>& drain = drain_[to];
-  inboxes_[to].drain_into(drain);
-  if (drain.empty()) return 0;
-  for (const Envelope& envelope : drain) sink(envelope);
-  const std::size_t claimed = drain.size();
-  drain.clear();
-  return claimed;
-}
-
-bool InboxTransport::has_mail(std::size_t to) const {
-  return inboxes_[to].has_mail();
-}
-
-void InboxTransport::park(std::size_t to, std::chrono::nanoseconds timeout) {
-  inboxes_[to].wait_for_mail(timeout);
-}
-
-void InboxTransport::kick(std::size_t to) { inboxes_[to].kick(); }
-
-void InboxTransport::clear() {
-  for (ShardInbox& inbox : inboxes_) inbox.clear();
-  for (std::vector<Envelope>& drain : drain_) drain.clear();
-}
-
 }  // namespace ct::rt

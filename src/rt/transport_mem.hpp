@@ -1,12 +1,7 @@
 #pragma once
-// In-process Transport implementations (DESIGN.md §4c, §4f, §4j): the
-// lock-free SPSC ring mesh (default) and the legacy locked MPSC inbox,
-// extracted from engine_sharded.cpp behind the Transport seam. Both keep
-// the exact synchronization discipline the engine relied on before the
-// seam existed — the mesh its mail-mask words and Doorbell fence pairs,
-// the inbox its single-lock batch appends — so the refactor is
-// behavior-preserving and the in-process executors stay inside the
-// interleaved A/B gate.
+// In-process Transport (DESIGN.md §4c, §4f, §4j): the lock-free SPSC ring
+// mesh the sharded engine moves cross-shard mail through, with its
+// mail-mask words and Doorbell fence pairs.
 
 #include <atomic>
 #include <cstdint>
@@ -48,26 +43,6 @@ class MeshTransport final : public Transport {
   std::size_t num_shards_;
   std::deque<SpscRing> rings_;    // deque: rings hold atomics, must not move
   std::deque<Endpoint> endpoints_;
-};
-
-/// Legacy path: one bounded MPSC ShardInbox per shard, whole batches
-/// appended under a single lock acquisition, drained with one swap. Kept so
-/// A/B runs can interleave both transports in one binary.
-class InboxTransport final : public Transport {
- public:
-  InboxTransport(std::size_t num_shards, std::size_t inbox_capacity);
-
-  std::size_t send_batch(std::size_t from, std::size_t to, const Envelope* data,
-                         std::size_t n) override;
-  std::size_t poll_into(std::size_t to, const EnvelopeSink& sink) override;
-  bool has_mail(std::size_t to) const override;
-  void park(std::size_t to, std::chrono::nanoseconds timeout) override;
-  void kick(std::size_t to) override;
-  void clear() override;
-
- private:
-  std::deque<ShardInbox> inboxes_;  // deque: inboxes hold a mutex, must not move
-  std::vector<std::vector<Envelope>> drain_;  // reusable per-shard drain buffer
 };
 
 }  // namespace ct::rt

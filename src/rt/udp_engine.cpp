@@ -16,6 +16,7 @@
 #include <deque>
 #include <memory>
 
+#include "rt/step_caps.hpp"
 #include "rt/udp_transport.hpp"
 #include "topology/gaps.hpp"
 
@@ -29,11 +30,6 @@ namespace {
 // holds the epoch index, and data carries the timed-out flag.
 constexpr std::int32_t kCtrlDone = -101;
 constexpr std::int32_t kCtrlEnd = -102;
-
-// Mirrors the sharded executor's per-pass caps so the two wall-clock
-// executors starve/interleave comparably.
-constexpr std::size_t kMaxStepReceives = 4096;
-constexpr std::size_t kMaxChainedSends = 4;
 
 /// Message-flight allowance past the per-worker epoch timeout before the
 /// coordinator force-ends an epoch with missing DONEs.
@@ -155,7 +151,7 @@ class UdpWorker final : public sim::Context {
   bool is_colored(topo::Rank r) const override {
     return colored_[static_cast<std::size_t>(r)] != 0;
   }
-  void note_correction_start() override {}  // gap snapshot: sharded-only metric
+  void note_correction_start() override {}  // gap snapshot: a sim-only metric
   void set_rank_data(topo::Rank r, std::int64_t data) override {
     rank_data_[static_cast<std::size_t>(r)] = data;
   }

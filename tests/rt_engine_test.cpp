@@ -181,8 +181,7 @@ TEST(RtHarness, AllTimeoutRunReportsZeroPercentilesNotNaN) {
 // --- Sharded scheduler: shard-boundary suite -------------------------------
 // The sharded engine carves [0, P) into contiguous slices of ceil(P/N)
 // ranks; these tests pin the boundary cases (uneven split, dead slices,
-// degenerate single shard, all-cross-shard traffic) and the A/B contract
-// against the legacy thread-per-rank executor.
+// degenerate single shard, all-cross-shard traffic).
 
 TEST(RtSharded, UnevenRankSplitColorsEveryone) {
   // P = 17 over 3 workers: slices of 6, 6 and 5 ranks.
@@ -276,7 +275,7 @@ TEST(RtSharded, SingleLiveRankAmongManyWorkers) {
 
 TEST(RtSharded, SingleShardDegenerateCase) {
   // One worker owns everything: the scheduler reduces to a sequential
-  // event loop, with no cross-shard inbox traffic at all.
+  // event loop, with no cross-shard ring traffic at all.
   const Rank procs = 24;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   std::vector<char> failed = no_failures(procs);
@@ -298,7 +297,7 @@ TEST(RtSharded, SingleShardDegenerateCase) {
 
 TEST(RtSharded, CrossShardOnlyTree) {
   // One rank per shard: every tree edge crosses shards, so the whole
-  // broadcast flows through the MPSC inboxes.
+  // broadcast flows through the SPSC ring mesh.
   const Rank procs = 8;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   EngineOptions options;
@@ -322,58 +321,18 @@ TEST(RtSharded, WorkerCountClampsToRanks) {
 }
 
 TEST(RtSharded, TinyInboxBackpressureStillDelivers) {
-  // Capacity 2 forces partial batch flushes and staged retries; ordering
+  // 2-slot rings force partial batch flushes and staged retries; ordering
   // and completeness must survive the backpressure.
   const Rank procs = 32;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   EngineOptions options;
   options.workers = 4;
-  options.inbox_capacity = 2;
+  options.mesh_capacity = 2;
   Engine engine(procs, no_failures(procs), options);
   proto::CorrectedTreeBroadcast protocol(tree, opportunistic(2));
   const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(20));
   EXPECT_FALSE(result.timed_out);
   EXPECT_EQ(result.uncolored_live, 0);
-}
-
-TEST(RtSharded, MatchesThreadPerRankOutcomes) {
-  // A/B: identical scenario on both executors must produce the identical
-  // protocol outcome (everyone colored; same message count for the
-  // deterministic fault-free tree).
-  const Rank procs = 48;
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  std::vector<char> failed = no_failures(procs);
-  failed[3] = failed[21] = 1;
-
-  auto run = [&](Threading threading, const std::vector<char>& faults,
-                 proto::CorrectionKind kind) {
-    EngineOptions options;
-    options.threading = threading;
-    options.workers = 4;
-    Engine engine(procs, faults, options);
-    proto::CorrectionConfig config;
-    config.kind = kind;
-    config.start = proto::CorrectionStart::kOverlapped;
-    proto::CorrectedTreeBroadcast protocol(tree, config);
-    return engine.run_epoch(protocol, std::chrono::seconds(20));
-  };
-
-  const EpochResult sharded_clean =
-      run(Threading::kSharded, no_failures(procs), proto::CorrectionKind::kNone);
-  const EpochResult legacy_clean =
-      run(Threading::kThreadPerRank, no_failures(procs), proto::CorrectionKind::kNone);
-  EXPECT_EQ(sharded_clean.uncolored_live, 0);
-  EXPECT_EQ(legacy_clean.uncolored_live, 0);
-  EXPECT_EQ(sharded_clean.total_messages, legacy_clean.total_messages);
-
-  const EpochResult sharded_faulty =
-      run(Threading::kSharded, failed, proto::CorrectionKind::kChecked);
-  const EpochResult legacy_faulty =
-      run(Threading::kThreadPerRank, failed, proto::CorrectionKind::kChecked);
-  EXPECT_FALSE(sharded_faulty.timed_out);
-  EXPECT_FALSE(legacy_faulty.timed_out);
-  EXPECT_EQ(sharded_faulty.uncolored_live, 0);
-  EXPECT_EQ(legacy_faulty.uncolored_live, 0);
 }
 
 TEST(RtSharded, PrototypeScaleEpochCompletesQuickly) {

@@ -192,18 +192,6 @@ TEST(RtStream, AckTreeStreamsChunked) {
   }
 }
 
-TEST(RtStream, ThreadPerRankExecutorRejectsStreams) {
-  const Rank procs = 4;
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  EngineOptions engine_options;
-  engine_options.threading = Threading::kThreadPerRank;
-  Engine engine(procs, no_failures(procs), engine_options);
-  StreamOptions options;
-  options.epochs = 1;
-  EXPECT_THROW(engine.run_stream(tree_factory(tree, opportunistic(1)), options),
-               std::runtime_error);
-}
-
 TEST(RtStream, StreamThenOneShotEpochStaysClean) {
   const Rank procs = 16;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);

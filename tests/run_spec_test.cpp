@@ -46,8 +46,7 @@ TEST(RunSpecRoundTrip, EveryCollective) {
 }
 
 TEST(RunSpecRoundTrip, EveryExecutor) {
-  for (const Executor e :
-       {Executor::kSim, Executor::kRtSharded, Executor::kRtThreadPerRank}) {
+  for (const Executor e : {Executor::kSim, Executor::kRtSharded}) {
     RunSpec spec = base_spec();
     spec.executor = e;
     expect_roundtrip(spec);
@@ -59,19 +58,12 @@ TEST(RunSpecRoundTrip, EveryExecutor) {
 }
 
 TEST(RunSpecRoundTrip, RtShardedCrossShardKnobs) {
-  // The PR6 executor options: ':inbox' (legacy locked MPSC), ':pin'
-  // (shard→core pinning) and ':mesh-cap=N' (per-pair ring capacity).
+  // The cross-shard executor option ':mesh-cap=N' (per-pair ring capacity).
   RunSpec spec = base_spec();
   spec.executor = Executor::kRtSharded;
   spec.workers = 8;
-  spec.rt_locked_inbox = true;
-  expect_roundtrip(spec);
-  spec.rt_pin = true;
-  expect_roundtrip(spec);
-  spec.rt_locked_inbox = false;
   spec.rt_mesh_capacity = 64;
   expect_roundtrip(spec);
-  spec.rt_pin = false;
   spec.rt_mesh_capacity = 2;
   expect_roundtrip(spec);
 }
@@ -170,22 +162,20 @@ TEST(RunSpecRoundTrip, ReduceDistance) {
 
 TEST(RunSpecRoundTrip, RepairAndReviveAxes) {
   // PR9 self-healing axes: repair alone, repair + a revive schedule, and
-  // the fixed-outage variant, on both rt executors.
-  for (const Executor e : {Executor::kRtSharded, Executor::kRtThreadPerRank}) {
-    RunSpec spec = base_spec();
-    spec.executor = e;
-    spec.faults.repair = true;
-    expect_roundtrip(spec);
-    spec.faults.chaos_seed = 0xBEEF;
-    spec.faults.crash_fraction = 0.02;
-    spec.faults.revive_fraction = 0.5;
-    expect_roundtrip(spec);
-    spec.faults.revive_fraction = 1.0;
-    spec.faults.revive_after_us = 1500;
-    expect_roundtrip(spec);
-  }
-  // kill= as the crash source works too.
+  // the fixed-outage variant.
   RunSpec spec = base_spec();
+  spec.executor = Executor::kRtSharded;
+  spec.faults.repair = true;
+  expect_roundtrip(spec);
+  spec.faults.chaos_seed = 0xBEEF;
+  spec.faults.crash_fraction = 0.02;
+  spec.faults.revive_fraction = 0.5;
+  expect_roundtrip(spec);
+  spec.faults.revive_fraction = 1.0;
+  spec.faults.revive_after_us = 1500;
+  expect_roundtrip(spec);
+  // kill= as the crash source works too.
+  spec = base_spec();
   spec.executor = Executor::kRtSharded;
   spec.faults.kill = {3, 9};
   spec.faults.repair = true;
@@ -200,9 +190,6 @@ TEST(RunSpecParse, AcceptsConveniences) {
   const RunSpec b = parse_run_spec("broadcast:binomial:checked:sync@f=0.02,P=256");
   EXPECT_EQ(a.faults.fraction, b.faults.fraction);
   EXPECT_EQ(b.correction.start, proto::CorrectionStart::kSynchronized);
-  const RunSpec c =
-      parse_run_spec("bcast:binomial:checked:overlapped@P=8,exec=rt-thread-per-rank");
-  EXPECT_EQ(c.executor, Executor::kRtThreadPerRank);
 }
 
 TEST(RunSpecParse, AcceptanceExampleSpecString) {
@@ -260,27 +247,29 @@ TEST(RunSpecParse, RejectsMalformedSpecs) {
   expect_rejected("bcast:binomial:checked:overlapped@reps=3", "P=");
   // The unknown-executor diagnostic must enumerate the full valid set.
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=gpu",
-                  "sim|rt-sharded|rt-tpr|rt-udp");
+                  "sim|rt-sharded|rt-udp");
+  // The thread-per-rank executor, the locked inbox and thread pinning are
+  // gone; each token names its removal and points at what remains.
+  for (const char* exec : {"rt-tpr", "rt-thread-per-rank", "rt-sharded:inbox",
+                           "rt-sharded:pin"}) {
+    const std::string spec =
+        std::string("bcast:binomial:checked:overlapped@P=8,exec=") + exec;
+    expect_rejected(spec, "removed");
+    expect_rejected(spec, "use exec=rt-sharded or exec=rt-udp");
+  }
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:x=2",
                   "executor option");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:w=2", "ThreadPool");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:mesh-cap=0",
                   "mesh-cap must be >= 1");
-  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:inbox",
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:mesh-cap=4",
                   "rt-sharded only");
-  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-tpr:pin",
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:mesh-cap=4",
                   "rt-sharded only");
-  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-tpr:mesh-cap=4",
-                  "rt-sharded only");
-  expect_rejected(
-      "bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:inbox:mesh-cap=4",
-      "contradicts");
   // rt-udp knobs: processes are counted via ':procs=', and the knobs apply
   // to that executor alone.
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:w=4",
                   "':procs='");
-  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:inbox",
-                  "rt-sharded only");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:procs=4",
                   "rt-udp only");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:port-base=9000",
@@ -441,11 +430,11 @@ TEST(SpecSmoke, RtShardedExecutorAllProtocols) {
 }
 
 TEST(SpecSmoke, RtThreadPerRankExecutor) {
-  const RunRecord record = run(parse_run_spec(
-      "bcast:binomial:checked:overlapped@P=16,reps=2,warmup=1,exec=rt-tpr"));
-  EXPECT_EQ(record.executor, "rt-tpr");
-  EXPECT_EQ(record.runs, 2);
-  EXPECT_EQ(record.incomplete, 0);
+  // A spec written for the removed thread-per-rank executor fails before
+  // anything runs, instead of silently running on another substrate.
+  EXPECT_THROW(run(parse_run_spec(
+                   "bcast:binomial:checked:overlapped@P=16,reps=2,warmup=1,exec=rt-tpr")),
+               std::invalid_argument);
 }
 
 TEST(SpecSmoke, RtAllreduce) {

@@ -130,17 +130,14 @@ std::vector<SpecSection> spec_sections(bool smoke) {
 
   // Runtime scaling table (DESIGN.md §4c): the sharded M:N executor across
   // the §4.4 rank ladder up to the paper's 36 864 ranks (optimized
-  // overlapped opportunistic, d = 4 — the prototype setup), the 2 % failed
-  // variant (gap-safe placement: both directions, d = 4 → gaps up to 8),
-  // and a thread-per-rank A/B at a size the legacy executor still handles.
-  // Smoke shrinks the ladder to one small A/B pair.
+  // overlapped opportunistic, d = 4 — the prototype setup) and the 2 %
+  // failed variant (gap-safe placement: both directions, d = 4 → gaps up
+  // to 8). Smoke shrinks the ladder to one small row.
   const char* rt_head = "bcast:binomial:opportunistic:4:overlapped@P=";
   SpecSection rt{"rt", {}};
   if (smoke) {
     rt.specs.push_back(std::string(rt_head) +
                        "256,reps=3,warmup=1,deadline-ms=10000,exec=rt-sharded");
-    rt.specs.push_back(std::string(rt_head) +
-                       "256,reps=2,warmup=1,deadline-ms=30000,exec=rt-tpr");
   } else {
     for (topo::Rank procs : {1024, 4096, 16384, 36864}) {
       rt.specs.push_back(rt_head + n(procs) +
@@ -151,10 +148,8 @@ std::vector<SpecSection> spec_sections(bool smoke) {
                        "exec=rt-sharded");
     // Oversubscribed rows (DESIGN.md §4f): the worker count forced past the
     // host's cores, so cross-shard delivery and scheduler idle cost — not
-    // protocol work — dominate. These are the cells where the SPSC mesh +
-    // active-set scheduler has to beat the locked-inbox slice sweep; the
-    // spec parses under older binaries too, so they interleave for A/B
-    // (recipe in EXPERIMENTS.md).
+    // protocol work — dominate. The spec parses under older binaries too,
+    // so these cells interleave for A/B (recipe in EXPERIMENTS.md).
     for (topo::Rank procs : {16384, 36864}) {
       rt.specs.push_back(rt_head + n(procs) +
                          ",reps=7,warmup=1,deadline-ms=30000,exec=rt-sharded:w=8");
@@ -169,8 +164,6 @@ std::vector<SpecSection> spec_sections(bool smoke) {
     rt.specs.push_back(
         "bcast:binomial:delayed:overlapped@P=36864,f=0.02,gap=8,reps=5,"
         "warmup=1,deadline-ms=30000,exec=rt-sharded:w=8");
-    rt.specs.push_back(std::string(rt_head) +
-                       "1024,reps=5,warmup=1,deadline-ms=120000,exec=rt-tpr");
   }
 
   // Chaos matrix (DESIGN.md §4d): {1 Ki, 16 Ki} ranks x {no chaos, 2 %
@@ -465,7 +458,6 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<Cell>& sweeps = results[0];
-  const std::vector<Cell>& rt_rows = results[1];
 
   // Legacy headline cell (base P, 2% faults): kept as the top-level "sweep"
   // object so cross-PR comparisons and the bench-smoke check keep working.
@@ -474,26 +466,6 @@ int main(int argc, char** argv) {
   const double sweep_reps_per_sec =
       sweep && sweep->record.wall_seconds > 0.0
           ? static_cast<double>(sweep->record.runs) / sweep->record.wall_seconds
-          : 0.0;
-
-  // A/B pair: the thread-per-rank row vs the fault-free sharded row at the
-  // same rank count.
-  const Cell* ab_sharded = nullptr;
-  const Cell* ab_legacy = nullptr;
-  for (const Cell& legacy : rt_rows) {
-    if (legacy.spec.executor != exp::Executor::kRtThreadPerRank) continue;
-    for (const Cell& row : rt_rows) {
-      if (row.spec.executor == exp::Executor::kRtSharded &&
-          row.spec.params.P == legacy.spec.params.P &&
-          row.spec.faults.fraction == 0.0) {
-        ab_sharded = &row;
-        ab_legacy = &legacy;
-      }
-    }
-  }
-  const double ab_speedup =
-      ab_legacy && ab_legacy->record.messages_per_sec > 0.0
-          ? ab_sharded->record.messages_per_sec / ab_legacy->record.messages_per_sec
           : 0.0;
 
   // Streaming A/B: the open-loop rt_stream pair (same offered rate, same
@@ -582,16 +554,6 @@ int main(int argc, char** argv) {
         .field("speedup", stream_speedup, 2)
         .end_object();
   }
-  if (ab_sharded) {
-    w.key("rt_ab")
-        .begin_object()
-        .field("procs", static_cast<std::int64_t>(ab_sharded->record.procs))
-        .field("sharded_messages_per_sec", ab_sharded->record.messages_per_sec, 0)
-        .field("thread_per_rank_messages_per_sec",
-               ab_legacy ? ab_legacy->record.messages_per_sec : 0.0, 0)
-        .field("speedup", ab_speedup, 2)
-        .end_object();
-  }
   w.field("peak_rss_mb", peak_rss_mb(), 1).end_object();
 
   if (!w.write_file(out_path)) {
@@ -600,11 +562,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "bench_report: wrote %s (sweep %.1f reps/s, rt A/B at P=%d: %.1fx, "
-      "stream W8/W1: %.2fx, peak RSS %.1f MB)\n",
-      out_path.c_str(), sweep_reps_per_sec,
-      ab_sharded ? ab_sharded->record.procs : 0, ab_speedup, stream_speedup,
-      peak_rss_mb());
+      "bench_report: wrote %s (sweep %.1f reps/s, stream W8/W1: %.2fx, "
+      "peak RSS %.1f MB)\n",
+      out_path.c_str(), sweep_reps_per_sec, stream_speedup, peak_rss_mb());
   if (!filter.empty()) {
     std::size_t cells = 0;
     for (const std::vector<Cell>& section : results) cells += section.size();

@@ -42,7 +42,7 @@ void print_usage() {
   --procs N  --reps N  --seed N  scale                        [4096/100/..]
   --faults N | --fault-rate F    failures per run             [0]
   --L --o --g --bytes --G --O    LogP / LogGP parameters      [2/1/1/1/0/0]
-  --exec=sim|rt-sharded|rt-tpr|rt-udp  executor substrate     [sim]
+  --exec=sim|rt-sharded|rt-udp   executor substrate           [sim]
   --csv                          machine-readable output (sim executor)
 )";
 }
@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   if (spec.executor != exp::Executor::kSim) {
     std::cout << "spec: " << record.spec << "\n"
               << "executor          : " << record.executor << " (" << record.workers
-              << " worker threads)\n"
+              << (spec.executor == exp::Executor::kRtUdp ? " worker processes)\n"
+                                                         : " worker threads)\n")
               << "iterations        : " << record.runs << "\n"
               << "median latency    : " << record.latency_p50 << " us\n"
               << "p99 latency       : " << record.latency_p99 << " us\n"
