@@ -1,14 +1,13 @@
 #include "experiment/mp.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstddef>
 #include <vector>
 
+#include "support/pipe_io.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define CT_EXP_MP_FORK 1
-#include <sys/wait.h>
-#include <unistd.h>
 #else
 #define CT_EXP_MP_FORK 0
 #endif
@@ -19,53 +18,21 @@ namespace {
 
 #if CT_EXP_MP_FORK
 
-// ---------------------------------------------------------------------------
-// Pipe framing: length-free, fixed-order stream of counters and Samples
-// payloads. Both ends are the same binary on the same machine, so raw
-// little-endian int64/double bytes round-trip bit-exactly — no text
-// formatting (which would round doubles) anywhere near the merge.
-// ---------------------------------------------------------------------------
-
-bool write_all(int fd, const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t wrote = ::write(fd, p, n);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += wrote;
-    n -= static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
-bool read_all(int fd, void* data, std::size_t n) {
-  char* p = static_cast<char*>(data);
-  while (n > 0) {
-    const ssize_t got = ::read(fd, p, n);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) continue;
-      return false;  // EOF before the frame completed = dead worker
-    }
-    p += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
+// Pipe framing (support/pipe_io.hpp): length-free, fixed-order stream of
+// counters and Samples payloads.
 
 bool write_samples(int fd, const support::Samples& samples) {
   const std::vector<double>& values = samples.values();
   const auto count = static_cast<std::uint64_t>(values.size());
-  if (!write_all(fd, &count, sizeof(count))) return false;
-  return count == 0 || write_all(fd, values.data(), values.size() * sizeof(double));
+  if (!support::write_all(fd, &count, sizeof(count))) return false;
+  return count == 0 || support::write_all(fd, values.data(), values.size() * sizeof(double));
 }
 
 bool read_samples(int fd, support::Samples& samples) {
   std::uint64_t count = 0;
-  if (!read_all(fd, &count, sizeof(count))) return false;
+  if (!support::read_all(fd, &count, sizeof(count))) return false;
   std::vector<double> values(static_cast<std::size_t>(count));
-  if (count > 0 && !read_all(fd, values.data(), values.size() * sizeof(double))) {
+  if (count > 0 && !support::read_all(fd, values.data(), values.size() * sizeof(double))) {
     return false;
   }
   for (const double v : values) samples.add(v);
@@ -75,7 +42,7 @@ bool read_samples(int fd, support::Samples& samples) {
 bool write_aggregate(int fd, const Aggregate& aggregate) {
   const std::int64_t counters[3] = {aggregate.runs, aggregate.not_fully_colored,
                                     aggregate.uncolored_total};
-  if (!write_all(fd, counters, sizeof(counters))) return false;
+  if (!support::write_all(fd, counters, sizeof(counters))) return false;
   return write_samples(fd, aggregate.coloring_latency) &&
          write_samples(fd, aggregate.quiescence_latency) &&
          write_samples(fd, aggregate.messages_per_process) &&
@@ -90,7 +57,7 @@ bool write_aggregate(int fd, const Aggregate& aggregate) {
 /// lazily sorted copy, identical either way).
 bool read_aggregate_into(int fd, Aggregate& into) {
   std::int64_t counters[3];
-  if (!read_all(fd, counters, sizeof(counters))) return false;
+  if (!support::read_all(fd, counters, sizeof(counters))) return false;
   into.runs += counters[0];
   into.not_fully_colored += counters[1];
   into.uncolored_total += counters[2];
@@ -118,62 +85,21 @@ MpSweepResult run_replicated_mp(const Scenario& scenario, std::size_t reps,
   }
   const std::size_t chunk = (reps + workers - 1) / workers;
 
-  struct Worker {
-    pid_t pid = -1;
-    int read_fd = -1;
-  };
-  std::vector<Worker> spawned;
-  spawned.reserve(workers);
-  for (std::size_t k = 0; k < workers; ++k) {
-    const std::size_t begin = k * chunk;
-    const std::size_t end = std::min(reps, begin + chunk);
-    if (begin >= end) break;
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      result.error = "pipe() failed";
-      break;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      result.error = "fork() failed";
-      break;
-    }
-    if (pid == 0) {
-      // Worker: the slice runs serially — process-level parallelism replaces
-      // the thread pool — and the frame goes out in one stream. _exit skips
-      // atexit/static destructors shared with the parent.
-      ::close(fds[0]);
-      const Aggregate slice = run_replicated_range(scenario, begin, end, seed);
-      const bool ok = write_aggregate(fds[1], slice);
-      ::close(fds[1]);
-      ::_exit(ok ? 0 : 1);
-    }
-    ::close(fds[1]);
-    spawned.push_back(Worker{pid, fds[0]});
-  }
-
-  // Drain in ascending slice order (frame order = merge order = the serial
-  // rep order). A pipe buffers ~64 KiB; big frames simply throttle their
-  // worker until the parent gets to it — no deadlock, the parent reads
-  // every pipe to EOF.
-  for (std::size_t k = 0; k < spawned.size(); ++k) {
-    if (!read_aggregate_into(spawned[k].read_fd, result.aggregate)) {
-      result.error = "worker " + std::to_string(k) + " died before finishing its slice";
-    }
-    ::close(spawned[k].read_fd);
-  }
-  for (const Worker& worker : spawned) {
-    int status = 0;
-    ::waitpid(worker.pid, &status, 0);
-    if (result.error.empty() &&
-        !(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-      result.error = "worker exited abnormally";
-    }
-  }
-  result.procs_used = static_cast<int>(spawned.size());
-  result.forked = !spawned.empty();
+  // Worker k runs its slice serially — process-level parallelism replaces
+  // the thread pool — and sends it as one frame. The parent drains frames
+  // in ascending slice order: frame order = merge order = the serial rep
+  // order.
+  const std::size_t forked = support::fork_workers(
+      (reps + chunk - 1) / chunk,
+      [&](std::size_t k, int fd) {
+        return write_aggregate(fd, run_replicated_range(scenario, k * chunk,
+                                                        std::min(reps, (k + 1) * chunk),
+                                                        seed));
+      },
+      [&](std::size_t /*k*/, int fd) { return read_aggregate_into(fd, result.aggregate); },
+      result.error);
+  result.procs_used = static_cast<int>(forked);
+  result.forked = forked > 0;
   // A lost worker leaves a rep-range hole; the partial merge is not the
   // deterministic sweep, so make the failure loud via `error` and the run
   // count mismatch (aggregate.runs != reps).

@@ -17,6 +17,7 @@
 #include "rt/chaos.hpp"
 #include "rt/engine.hpp"
 #include "rt/harness.hpp"
+#include "rt/stepper.hpp"
 #include "rt/udp_engine.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
@@ -604,6 +605,25 @@ RunRecord make_record(const RunSpec& spec) {
   return record;
 }
 
+/// The sim's crash report: the kill= and crash-fraction victims alive at
+/// start, rep 0's list into crashed_ranks and the per-rep count summed over
+/// record.runs into ranks_crashed. A victim the static sample already
+/// failed is failed at start — how rt-sharded and rt-udp classify it too.
+/// `per_rep` resamples the static faults per rep; a stream runs every epoch
+/// over rep 0's sample.
+void fill_crash_report(RunRecord& record, const Scenario& scenario, std::uint64_t seed,
+                       bool per_rep) {
+  for (std::int64_t rep = 0; rep < record.runs && !scenario.mid_run_deaths.empty(); ++rep) {
+    const sim::FaultSet faults =
+        scenario_faults(scenario, support::derive_seed(seed, per_rep ? rep : 0));
+    for (const topo::Rank victim : scenario.mid_run_deaths) {
+      if (faults.failed_from_start(victim)) continue;
+      ++record.ranks_crashed;
+      if (rep == 0) record.crashed_ranks.push_back(victim);
+    }
+  }
+}
+
 /// Survivors of `faults` never colored in `result`, ascending. Requires a
 /// keep_per_rank_detail run.
 std::vector<topo::Rank> uncolored_survivors_of(const sim::RunResult& result,
@@ -627,7 +647,6 @@ RunRecord run_sim_broadcast(const RunSpec& spec, const support::ThreadPool* pool
   RunRecord record = make_record(spec);
   record.latency_unit = "ticks";
   record.workers = pool ? static_cast<std::int64_t>(pool->size()) : 1;
-  record.crashed_ranks = scenario.mid_run_deaths;
 
   // Untimed detail replication (rep 0) for the per-rank outcome.
   {
@@ -653,8 +672,7 @@ RunRecord run_sim_broadcast(const RunSpec& spec, const support::ThreadPool* pool
   record.messages_per_sec =
       record.wall_seconds > 0.0 ? total_messages / record.wall_seconds : 0.0;
   record.incomplete = record.aggregate.not_fully_colored;
-  record.ranks_crashed =
-      static_cast<std::int64_t>(scenario.mid_run_deaths.size()) * record.runs;
+  fill_crash_report(record, scenario, spec.seed, /*per_rep=*/true);
   return record;
 }
 
@@ -707,7 +725,6 @@ RunRecord run_sim_stream(const RunSpec& spec) {
   RunRecord record = make_record(spec);
   record.latency_unit = "ticks";
   record.workers = 1;  // one event queue; streams have no replication pool
-  record.crashed_ranks = scenario.mid_run_deaths;
 
   sim::Simulator simulator(params, &faults);
   const auto start = Clock::now();
@@ -739,8 +756,7 @@ RunRecord run_sim_stream(const RunSpec& spec) {
       record.wall_seconds > 0.0
           ? static_cast<double>(result.total_messages) / record.wall_seconds
           : 0.0;
-  record.ranks_crashed =
-      static_cast<std::int64_t>(scenario.mid_run_deaths.size()) * record.runs;
+  fill_crash_report(record, scenario, spec.seed, /*per_rep=*/false);
   record.offered_rate = spec.rate;
   const double model_seconds = static_cast<double>(last_retire) * 1e-6;
   record.achieved_rate =
@@ -756,6 +772,17 @@ RunRecord run_sim_stream(const RunSpec& spec) {
   return record;
 }
 
+/// The reduction inputs of the dense ranks of `view`: rank r contributes
+/// r % 97, keyed by *global* rank, so the agreed reduction after a repair is
+/// the reduction over the survivors' original inputs.
+std::vector<std::int64_t> reduction_inputs(const rt::MembershipView& view) {
+  std::vector<std::int64_t> values(static_cast<std::size_t>(view.num_live()));
+  for (topo::Rank d = 0; d < view.num_live(); ++d) {
+    values[static_cast<std::size_t>(d)] = view.global_of(d) % 97;
+  }
+  return values;
+}
+
 RunRecord run_sim_reduction(const RunSpec& spec) {
   Scenario scenario = spec.to_scenario();  // fault axes + label only
   scenario.mid_run_deaths = sim_chaos_victims(spec);
@@ -764,12 +791,9 @@ RunRecord run_sim_reduction(const RunSpec& spec) {
   RunRecord record = make_record(spec);
   record.latency_unit = "ticks";
   record.workers = 1;  // reduction reps run serially (no ReplicaPlan path yet)
-  record.crashed_ranks = scenario.mid_run_deaths;
 
-  std::vector<std::int64_t> values(static_cast<std::size_t>(spec.params.P));
-  for (topo::Rank r = 0; r < spec.params.P; ++r) {
-    values[static_cast<std::size_t>(r)] = r % 97;
-  }
+  const std::vector<std::int64_t> values =
+      reduction_inputs(rt::MembershipView::identity(spec.params.P));
 
   std::int64_t total_messages = 0;
   const auto start = Clock::now();
@@ -818,8 +842,7 @@ RunRecord run_sim_reduction(const RunSpec& spec) {
   record.messages_per_sec = record.wall_seconds > 0.0
                                 ? static_cast<double>(total_messages) / record.wall_seconds
                                 : 0.0;
-  record.ranks_crashed =
-      static_cast<std::int64_t>(scenario.mid_run_deaths.size()) * record.runs;
+  fill_crash_report(record, scenario, spec.seed, /*per_rep=*/true);
   return record;
 }
 
@@ -880,92 +903,71 @@ rt::ChaosPlan make_chaos_plan(const RunSpec& spec) {
   return plan;
 }
 
-/// One-shot protocol factory shared by the in-process and UDP rt paths.
-/// Everything is captured by reference — callers own the inputs for the
-/// life of the measurement call. gossip_epoch advances once per factory
-/// call; under rt-udp every process invokes the factory exactly once per
-/// epoch in lockstep, so the per-epoch gossip seeds agree across processes.
-rt::ProtocolFactory one_shot_factory(const RunSpec& spec, const topo::Tree& tree,
-                                     const proto::CorrectionConfig& correction,
-                                     const std::vector<std::int64_t>& values,
-                                     proto::GossipConfig& gossip,
-                                     std::uint64_t& gossip_epoch,
-                                     std::int32_t chunks) {
-  return [&spec, &tree, &correction, &values, &gossip, &gossip_epoch,
-          chunks]() -> std::unique_ptr<sim::Protocol> {
+/// The protocol inputs every rt path derives from a spec, and build(), which
+/// makes every rt protocol instance from them. Under rt-udp every process
+/// calls build() once per epoch in lockstep, so the gossip seeds agree.
+struct RtProtocol {
+  explicit RtProtocol(const RunSpec& spec_in)
+      : spec(spec_in),
+        tree(topo::make_tree(spec.tree, spec.params.P)),
+        identity(rt::MembershipView::identity(spec.params.P)),
+        correction(spec.correction),
+        chunks(static_cast<std::int32_t>(spec.chunk_count())) {
+    default_delay(correction, spec.params, /*wall_clock=*/true);
+    if (spec.protocol == ProtocolKind::kGossip) {
+      gossip = spec.to_scenario().gossip;
+      default_delay(gossip.correction, spec.params, /*wall_clock=*/true);
+    }
+  }
+
+  /// One protocol instance over `t` for the dense ranks [0, num_live) of
+  /// `view` — the full rank space, or the survivors after a repair.
+  std::unique_ptr<sim::Protocol> build(const topo::Tree& t, const rt::MembershipView& view) {
     if (spec.collective == Collective::kAllreduce) {
+      sim::LogP params = spec.params;
+      params.P = view.num_live();
       proto::AllReduceConfig config;
       config.reduce.distance = spec.reduce_distance;
       config.correction = correction;
-      return std::make_unique<proto::CorrectedAllReduce>(tree, spec.params, values,
+      return std::make_unique<proto::CorrectedAllReduce>(t, params, reduction_inputs(view),
                                                          config);
     }
     switch (spec.protocol) {
       case ProtocolKind::kAckTree:
-        return std::make_unique<proto::AckTreeBroadcast>(tree, nullptr, chunks);
-      case ProtocolKind::kGossip: {
+        return std::make_unique<proto::AckTreeBroadcast>(t, nullptr, chunks);
+      case ProtocolKind::kGossip:
         gossip.seed = support::derive_seed(spec.seed, ++gossip_epoch);
-        return std::make_unique<proto::CorrectedGossipBroadcast>(spec.params.P, gossip);
-      }
+        return std::make_unique<proto::CorrectedGossipBroadcast>(view.num_live(), gossip);
       case ProtocolKind::kCorrectedTree:
         break;
     }
-    return std::make_unique<proto::CorrectedTreeBroadcast>(tree, correction, 0, nullptr,
+    return std::make_unique<proto::CorrectedTreeBroadcast>(t, correction, 0, nullptr,
                                                            nullptr, chunks);
-  };
-}
-
-/// exec=rt-udp: forked worker processes exchanging loopback datagrams under
-/// perfect links (DESIGN.md §4j). Same one-shot factory and record layout
-/// as run_rt, plus the transport's retransmit / dedup tallies. Must run
-/// before this process spawns threads (fork discipline — see udp_engine.hpp),
-/// which holds: the sim ThreadPool is never built for rt executors.
-RunRecord run_rt_udp(const RunSpec& spec) {
-  const topo::Tree tree = topo::make_tree(spec.tree, spec.params.P);
-
-  rt::UdpEngineOptions options;
-  options.num_procs = spec.params.P;
-  options.failed = static_failures(spec, tree);
-  if (spec.rt_procs > 0) options.procs = static_cast<int>(spec.rt_procs);
-  options.port_base = static_cast<int>(spec.rt_port_base);
-  options.warmup = spec.warmup;
-  options.iterations = spec.reps;
-  if (spec.deadline_ms > 0) {
-    options.epoch_timeout = std::chrono::milliseconds(spec.deadline_ms);
   }
-  if (spec.faults.chaos_enabled()) options.chaos = make_chaos_plan(spec);
 
-  proto::CorrectionConfig correction = spec.correction;
-  default_delay(correction, spec.params, /*wall_clock=*/true);
-  std::vector<std::int64_t> values(static_cast<std::size_t>(spec.params.P));
-  for (topo::Rank r = 0; r < spec.params.P; ++r) {
-    values[static_cast<std::size_t>(r)] = r % 97;
+  rt::ProtocolFactory one_shot() {
+    return [this] { return build(tree, identity); };
   }
+
+  const RunSpec& spec;
+  const topo::Tree tree;
+  const rt::MembershipView identity;
+  proto::CorrectionConfig correction;
   proto::GossipConfig gossip;
-  if (spec.protocol == ProtocolKind::kGossip) {
-    gossip = spec.to_scenario().gossip;
-    default_delay(gossip.correction, spec.params, /*wall_clock=*/true);
-  }
   std::uint64_t gossip_epoch = 0;
-  const auto chunks = static_cast<std::int32_t>(spec.chunk_count());
-  const rt::ProtocolFactory factory =
-      one_shot_factory(spec, tree, correction, values, gossip, gossip_epoch, chunks);
+  const std::int32_t chunks;
+};
 
-  const rt::UdpRunResult udp = rt::measure_broadcast_udp(options, factory);
-  if (!udp.error.empty()) {
-    throw std::runtime_error("exec=rt-udp: " + udp.error);
-  }
-  const rt::HarnessResult& result = udp.harness;
-
+/// The record of a one-shot rt run on either runtime; the transport
+/// tallies are zero on rt-sharded, the recovery ones on rt-udp.
+RunRecord harness_record(const RunSpec& spec, const rt::HarnessResult& result,
+                         std::int64_t workers) {
   RunRecord record = make_record(spec);
   record.latency_unit = "us";
-  record.workers = udp.procs_used;  // worker *processes*, not threads
+  record.workers = workers;
   record.runs = result.iterations;
   record.wall_seconds = result.wall_seconds;
-  record.latency_p50 = result.p50_us();
-  record.latency_p99 = result.p99_us();
-  record.latency_p999 = result.p999_us();
-  record.latency_mean = result.latency_us.empty() ? 0.0 : result.latency_us.mean();
+  fill_latency(record, result.latency_us);
   record.messages_per_process =
       result.messages_per_process.empty() ? 0.0 : result.messages_per_process.mean();
   record.messages_per_sec = result.messages_per_sec();
@@ -980,11 +982,43 @@ RunRecord run_rt_udp(const RunSpec& spec) {
   record.uncolored_survivors = result.first.uncolored_survivors;
   record.retransmits = result.retransmits;
   record.dup_drops = result.dup_drops;
+  record.repairs = result.repairs;
+  record.rejoins = result.rejoins;
+  record.replayed_epochs = result.replayed_epochs;
+  record.state_transfers = result.state_transfers;
+  record.epochs_to_converge = result.epochs_to_converge;
   return record;
 }
 
+/// exec=rt-udp: forked worker processes exchanging loopback datagrams under
+/// perfect links (DESIGN.md §4j). Same RtProtocol and record layout
+/// as run_rt, plus the transport's retransmit / dedup tallies. Must run
+/// before this process spawns threads (fork discipline — see udp_engine.hpp),
+/// which holds: the sim ThreadPool is never built for rt executors.
+RunRecord run_rt_udp(const RunSpec& spec) {
+  RtProtocol protocol(spec);
+
+  rt::UdpEngineOptions options;
+  options.num_procs = spec.params.P;
+  options.failed = static_failures(spec, protocol.tree);
+  if (spec.rt_procs > 0) options.procs = static_cast<int>(spec.rt_procs);
+  options.port_base = static_cast<int>(spec.rt_port_base);
+  options.warmup = spec.warmup;
+  options.iterations = spec.reps;
+  if (spec.deadline_ms > 0) {
+    options.epoch_timeout = std::chrono::milliseconds(spec.deadline_ms);
+  }
+  if (spec.faults.chaos_enabled()) options.chaos = make_chaos_plan(spec);
+
+  const rt::UdpRunResult udp = rt::measure_broadcast_udp(options, protocol.one_shot());
+  if (!udp.error.empty()) {
+    throw std::runtime_error("exec=rt-udp: " + udp.error);
+  }
+  return harness_record(spec, udp.harness, udp.procs_used);  // worker *processes*
+}
+
 RunRecord run_rt(const RunSpec& spec) {
-  const topo::Tree tree = topo::make_tree(spec.tree, spec.params.P);
+  RtProtocol protocol(spec);
 
   rt::EngineOptions engine_options;
   engine_options.workers = spec.workers;
@@ -995,27 +1029,11 @@ RunRecord run_rt(const RunSpec& spec) {
     engine_options.epoch_deadline = std::chrono::milliseconds(spec.deadline_ms);
   }
   engine_options.repair = spec.faults.repair;
-  rt::Engine engine(spec.params.P, static_failures(spec, tree), engine_options);
+  rt::Engine engine(spec.params.P, static_failures(spec, protocol.tree), engine_options);
 
   if (spec.faults.chaos_enabled()) engine.set_chaos(make_chaos_plan(spec));
 
-  proto::CorrectionConfig correction = spec.correction;
-  default_delay(correction, spec.params, /*wall_clock=*/true);
-
-  std::vector<std::int64_t> values(static_cast<std::size_t>(spec.params.P));
-  for (topo::Rank r = 0; r < spec.params.P; ++r) {
-    values[static_cast<std::size_t>(r)] = r % 97;
-  }
-  proto::GossipConfig gossip;
-  if (spec.protocol == ProtocolKind::kGossip) {
-    gossip = spec.to_scenario().gossip;
-    default_delay(gossip.correction, spec.params, /*wall_clock=*/true);
-  }
-  std::uint64_t gossip_epoch = 0;
-  const auto chunks = static_cast<std::int32_t>(spec.chunk_count());
-
-  const rt::ProtocolFactory factory =
-      one_shot_factory(spec, tree, correction, values, gossip, gossip_epoch, chunks);
+  const rt::ProtocolFactory factory = protocol.one_shot();
 
   if (spec.streaming()) {
     rt::StreamOptions stream;
@@ -1057,14 +1075,11 @@ RunRecord run_rt(const RunSpec& spec) {
       if (epoch.degraded()) ++record.epochs_degraded;
     }
     if (!result.raw.epochs.empty()) {
-      const std::vector<rt::RankEnd>& ends = result.raw.epochs.front().rank_state;
-      for (topo::Rank r = 0; r < static_cast<topo::Rank>(ends.size()); ++r) {
-        if (ends[static_cast<std::size_t>(r)] == rt::RankEnd::kCrashed) {
-          record.crashed_ranks.push_back(r);
-        } else if (ends[static_cast<std::size_t>(r)] == rt::RankEnd::kUncolored) {
-          record.uncolored_survivors.push_back(r);
-        }
-      }
+      rt::EpochResult first;
+      first.rank_state = result.raw.epochs.front().rank_state;
+      rt::summarize_ranks(first);
+      record.crashed_ranks = std::move(first.crashed_ranks);
+      record.uncolored_survivors = std::move(first.uncolored_survivors);
     }
     return record;
   }
@@ -1087,77 +1102,19 @@ RunRecord run_rt(const RunSpec& spec) {
     std::unique_ptr<topo::Tree> repaired;
     const rt::MembershipProtocolFactory membership_factory =
         [&](const rt::MembershipView& view) -> std::unique_ptr<sim::Protocol> {
-      const topo::Tree* t = &tree;
-      if (!view.is_identity()) {
-        if (!repaired || cached_generation != view.generation()) {
-          repaired = std::make_unique<topo::Tree>(
-              topo::make_survivor_tree(spec.tree, view.num_live()));
-          cached_generation = view.generation();
-        }
-        t = repaired.get();
+      if (view.is_identity()) return protocol.build(protocol.tree, view);
+      if (!repaired || cached_generation != view.generation()) {
+        repaired = std::make_unique<topo::Tree>(
+            topo::make_survivor_tree(spec.tree, view.num_live()));
+        cached_generation = view.generation();
       }
-      if (spec.collective == Collective::kAllreduce) {
-        // Survivor values keyed by *global* rank: the agreed reduction after
-        // a repair is the reduction over the survivors' original inputs.
-        std::vector<std::int64_t> dense(static_cast<std::size_t>(view.num_live()));
-        for (topo::Rank d = 0; d < view.num_live(); ++d) {
-          dense[static_cast<std::size_t>(d)] = view.global_of(d) % 97;
-        }
-        sim::LogP live_params = spec.params;
-        live_params.P = view.num_live();
-        proto::AllReduceConfig config;
-        config.reduce.distance = spec.reduce_distance;
-        config.correction = correction;
-        return std::make_unique<proto::CorrectedAllReduce>(*t, live_params, dense,
-                                                           config);
-      }
-      switch (spec.protocol) {
-        case ProtocolKind::kAckTree:
-          return std::make_unique<proto::AckTreeBroadcast>(*t, nullptr, chunks);
-        case ProtocolKind::kGossip: {
-          gossip.seed = support::derive_seed(spec.seed, ++gossip_epoch);
-          return std::make_unique<proto::CorrectedGossipBroadcast>(view.num_live(),
-                                                                   gossip);
-        }
-        case ProtocolKind::kCorrectedTree:
-          break;
-      }
-      return std::make_unique<proto::CorrectedTreeBroadcast>(*t, correction, 0,
-                                                             nullptr, nullptr, chunks);
+      return protocol.build(*repaired, view);
     };
     result = rt::measure_recovery(engine, membership_factory, harness);
   } else {
     result = rt::measure_broadcast(engine, factory, harness);
   }
-
-  RunRecord record = make_record(spec);
-  record.latency_unit = "us";
-  record.workers = static_cast<std::int64_t>(engine.worker_threads());
-  record.runs = result.iterations;
-  record.wall_seconds = result.wall_seconds;
-  record.latency_p50 = result.p50_us();
-  record.latency_p99 = result.p99_us();
-  record.latency_p999 = result.p999_us();
-  record.latency_mean =
-      result.latency_us.empty() ? 0.0 : result.latency_us.mean();
-  record.messages_per_process =
-      result.messages_per_process.empty() ? 0.0 : result.messages_per_process.mean();
-  record.messages_per_sec = result.messages_per_sec();
-  record.incomplete = result.incomplete;
-  record.timeouts = result.timeouts;
-  record.epochs_degraded = result.epochs_degraded;
-  record.ranks_crashed = result.ranks_crashed;
-  record.messages_dropped = result.messages_dropped;
-  record.messages_delayed = result.messages_delayed;
-  record.messages_duplicated = result.messages_duplicated;
-  record.crashed_ranks = result.first.crashed_ranks;
-  record.uncolored_survivors = result.first.uncolored_survivors;
-  record.repairs = result.repairs;
-  record.rejoins = result.rejoins;
-  record.replayed_epochs = result.replayed_epochs;
-  record.state_transfers = result.state_transfers;
-  record.epochs_to_converge = result.epochs_to_converge;
-  return record;
+  return harness_record(spec, result, static_cast<std::int64_t>(engine.worker_threads()));
 }
 
 }  // namespace

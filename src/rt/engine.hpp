@@ -7,16 +7,14 @@
 // ("Processes 'failed' during benchmark initialization and stayed as such
 // during the whole benchmark run").
 //
-// One executor: an M:N scheduler (engine_sharded.cpp). N worker threads
-// (default hardware_concurrency) each own a contiguous slice of ranks whose
-// state machines they step cooperatively. Intra-shard delivery is a plain
-// per-rank ring buffer (no locks — single-threaded within a shard);
-// cross-shard delivery batches through a lock-free SPSC ring per ordered
-// shard pair. Workers only step ranks with pending work — an active-set run
-// queue replaces the full slice scan per pass. This is the path that
-// reaches the paper's 36 864-rank prototype scale. A one-shot epoch and a
-// windowed stream run through the same rank stepper: run_epoch is window
-// slot 0 of a one-slot window.
+// Engine is the in-process runtime: worker threads (default
+// hardware_concurrency), each owning a contiguous slice of ranks, drive the
+// runtime's one rank stepper (stepper.hpp) over a lock-free SPSC ring per
+// ordered shard pair (engine_sharded.cpp). This is the path that reaches
+// the paper's 36 864-rank prototype scale. A one-shot epoch and a windowed
+// stream run through the same stepper: run_epoch is window slot 0 of a
+// one-slot window. exec=rt-udp (udp_engine.hpp) drives the same stepper
+// from forked processes over UDP.
 //
 // An Engine is persistent: it spawns its threads once and then executes a
 // sequence of epochs (benchmark iterations). Within an epoch each rank

@@ -1,5 +1,7 @@
 #include "rt/harness.hpp"
 
+#include "rt/stepper.hpp"
+
 namespace ct::rt {
 
 HarnessResult measure_broadcast(Engine& engine, const ProtocolFactory& factory,
@@ -13,27 +15,8 @@ HarnessResult measure_broadcast(Engine& engine, const ProtocolFactory& factory,
   const auto start = Clock::now();
   for (std::int64_t i = 0; i < options.iterations; ++i) {
     auto protocol = factory();
-    EpochResult epoch = engine.run_epoch(*protocol, options.epoch_timeout);
-    if (result.iterations == 0) result.first = epoch;
-    ++result.iterations;
-    result.total_messages += epoch.total_messages;
-    result.ranks_crashed += epoch.crashed_mid_epoch;
-    result.messages_dropped += epoch.messages_dropped;
-    result.messages_delayed += epoch.messages_delayed;
-    result.messages_duplicated += epoch.messages_duplicated;
-    if (epoch.degraded()) {
-      if (result.epochs_degraded == 0) result.first_degraded = epoch;
-      result.last_degraded = epoch;
-      ++result.epochs_degraded;
-    }
-    if (epoch.timed_out) {
-      ++result.timeouts;
-      continue;
-    }
-    if (epoch.uncolored_live > 0) ++result.incomplete;
-    result.latency_us.add(static_cast<double>(epoch.completion_ns) / 1000.0);
-    result.messages_per_process.add(static_cast<double>(epoch.total_messages) /
-                                    static_cast<double>(engine.num_procs()));
+    const EpochResult epoch = engine.run_epoch(*protocol, options.epoch_timeout);
+    fold_epoch(result, epoch, epoch.completion_ns, engine.num_procs());
   }
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
@@ -122,29 +105,7 @@ HarnessResult measure_recovery(Engine& engine,
 
     EpochResult epoch = engine.run_epoch(*run, options.epoch_timeout);
 
-    if (measured) {
-      if (result.iterations == 0) result.first = epoch;
-      ++result.iterations;
-      result.total_messages += epoch.total_messages;
-      result.ranks_crashed += epoch.crashed_mid_epoch;
-      result.messages_dropped += epoch.messages_dropped;
-      result.messages_delayed += epoch.messages_delayed;
-      result.messages_duplicated += epoch.messages_duplicated;
-      if (epoch.degraded()) {
-        if (result.epochs_degraded == 0) result.first_degraded = epoch;
-        result.last_degraded = epoch;
-        ++result.epochs_degraded;
-      }
-      if (epoch.timed_out) {
-        ++result.timeouts;
-      } else {
-        if (epoch.uncolored_live > 0) ++result.incomplete;
-        result.latency_us.add(static_cast<double>(epoch.completion_ns) / 1000.0);
-        result.messages_per_process.add(
-            static_cast<double>(epoch.total_messages) /
-            static_cast<double>(engine.num_procs()));
-      }
-    }
+    if (measured) fold_epoch(result, epoch, epoch.completion_ns, engine.num_procs());
 
     // 4. Record this boundary's deaths and draw their revival schedule from
     //    the chaos plan, keyed by the epoch index the crash was detected in.

@@ -1,12 +1,12 @@
 #pragma once
-// Pluggable cross-shard transport seam (DESIGN.md §4j). The sharded engine
-// stages outgoing envelopes per destination shard during a scheduling pass
-// and moves them — plus parking, wakeup and the has-mail poll — through this
-// interface instead of code welded into engine_sharded.cpp. Two transports
-// implement it:
+// Pluggable cross-shard transport seam (DESIGN.md §4j). The runtime's one
+// rank stepper (stepper.hpp) stages outgoing envelopes per destination
+// during a scheduling pass and moves them — plus parking, wakeup and the
+// has-mail poll — through this interface, so the code above it exists once
+// for both transports that implement it:
 //
 //  * MeshTransport (transport_mem.hpp) — the lock-free SPSC ring mesh with
-//    per-shard mail masks and Doorbell parking, used by the sharded engine.
+//    per-shard mail masks and Doorbell parking, under the in-process Engine.
 //  * UdpTransport  (udp_transport.hpp) — real POSIX UDP datagrams between
 //    OS processes with a perfect-links reliability layer; "shard" becomes
 //    "peer process".
@@ -15,7 +15,7 @@
 // polls for) a whole batch, so dispatch cost is O(shards²) per scheduling
 // pass — never O(messages). Per-envelope delivery on the poll side goes
 // through EnvelopeSink, a non-owning two-word callable (context + function
-// pointer), because the engine routes each envelope to a window slot by its
+// pointer), because the stepper routes each envelope to a window slot by
 // epoch tag and a plain LocalFifo& target would force an intermediate copy.
 //
 // Contract:

@@ -6,23 +6,24 @@
 //
 // Every process builds the *full-P* protocol each epoch through the
 // inherited factory (fork carries the whole configuration; nothing is
-// serialized) and runs the deterministic begin() everywhere, but only steps
-// its local ranks: Context::send suppresses envelopes whose source rank is
-// non-local, so exactly one process — the owner — emits each rank's
-// traffic. This is sound because the repo's protocols only read their own
-// rank's coloring/data through the Context (verified across src/protocol),
-// and per-rank protocol-internal state is disjoint.
+// serialized) and runs the deterministic begin() everywhere, but steps only
+// its slice, on its main thread, with the in-process Engine's rank stepper
+// (stepper.hpp), which keeps only the slice's sends and timers: exactly one
+// process — the owner — emits each rank's traffic. This is sound because
+// the repo's protocols only read their own rank's coloring/data through
+// the Context (verified across src/protocol), and per-rank protocol-
+// internal state is disjoint.
 //
 // Epochs run in lockstep through a two-message control protocol carried by
 // the same perfect links (negative protocol tags, so they never collide
 // with sim::tag's well-known positive space): each worker sends DONE to the
 // coordinator (worker 0) when all its local live ranks completed or
-// crashed; the coordinator broadcasts END once every DONE arrived (or its
-// deadline passed), and END both retires the epoch and admits the next —
-// no separate BEGIN. A worker that sees no END within twice the epoch
-// timeout self-advances as timed out, so a dead coordinator cannot hang
-// the run. Results stream back to the parent over pipes with the same
-// raw-bytes framing discipline as exp::run_replicated_mp, and the parent
+// crashed, and keeps stepping; the coordinator broadcasts END once every
+// DONE arrived (or its deadline passed), and END both retires the epoch and
+// admits the next — no separate BEGIN. A worker that sees no END within
+// twice the epoch timeout self-advances as timed out, so a dead coordinator
+// cannot hang the run. Results stream back to the parent over pipes
+// (support/pipe_io.hpp, shared with exp::run_replicated_mp), and the parent
 // merges them into the rt::HarnessResult shape measure_broadcast produces
 // (plus the transport's retransmits / dup_drops tallies).
 //

@@ -2,6 +2,7 @@
 
 #include "topology/placement.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,11 +22,13 @@ void FaultSet::reset(topo::Rank num_procs) {
 }
 
 void FaultSet::mark_dead(topo::Rank r, Time t) noexcept {
-  if (dies_at_[static_cast<std::size_t>(r)] == kTimeNever) {
+  Time& dies_at = dies_at_[static_cast<std::size_t>(r)];
+  if (dies_at == kTimeNever) {
     dirty_.push_back(r);
     ++failed_count_;
   }
-  dies_at_[static_cast<std::size_t>(r)] = t;
+  // A rank dies once: a later kill cannot revive one that already failed.
+  dies_at = std::min(dies_at, t);
 }
 
 FaultSet FaultSet::none(topo::Rank num_procs) { return FaultSet(num_procs); }

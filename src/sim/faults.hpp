@@ -81,6 +81,7 @@ class FaultSet {
   }
 
   /// Extension: schedule rank r to die at time t (t = 0 → dead from start).
+  /// A rank already scheduled to die keeps the earlier of the two times.
   void kill_at(topo::Rank r, Time t);
 
   /// Ranks that are dead from the start, ascending.

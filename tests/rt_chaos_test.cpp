@@ -123,8 +123,10 @@ TEST(ChaosPlan, EnablementReflectsOptions) {
 // t = 1, first receive completes at t >= 4 under LogP{2,1,1}; rt:
 // crash_ns = 0, checked before the rank's first step), so the coloring
 // outcome is the timing-independent coverage of the correction algorithm.
+// `extra` appends keys shared by both substrates (e.g. a static faults=
+// sample).
 std::string parity_cell(Rank procs, const std::vector<Rank>& victims,
-                        proto::CorrectionKind kind) {
+                        proto::CorrectionKind kind, const std::string& extra = "") {
   std::string spec = "bcast:binomial:";
   spec += proto::correction_kind_name(kind);
   if (kind == proto::CorrectionKind::kOpportunistic ||
@@ -138,6 +140,7 @@ std::string parity_cell(Rank procs, const std::vector<Rank>& victims,
     spec += std::to_string(victims[i]);
   }
   spec += ",reps=1,warmup=0";
+  if (!extra.empty()) spec += "," + extra;
   return spec;
 }
 
@@ -179,6 +182,31 @@ TEST(ChaosParity, SimAndRtAgreeOnSurvivorColoringUnderMidBroadcastDeaths) {
       EXPECT_EQ(expected.crashed_ranks, victims);
       EXPECT_EQ(expected.incomplete > 0, !expected.uncolored_survivors.empty());
     }
+  }
+}
+
+TEST(ChaosParity, KillOfAStaticallyFailedRankIsNoMidRunCrash) {
+  // Seed 3's static sample of faults=3 already fails rank 7, so of the two
+  // kill= victims only 11 dies mid-run: failed at start is not a crash, on
+  // the sim as on the runtime.
+  const Rank procs = 24;
+  const std::vector<Rank> victims = {7, 11};
+  for (const proto::CorrectionKind kind :
+       {proto::CorrectionKind::kNone, proto::CorrectionKind::kOpportunistic,
+        proto::CorrectionKind::kOptimizedOpportunistic, proto::CorrectionKind::kChecked,
+        proto::CorrectionKind::kFailureProof, proto::CorrectionKind::kDelayed}) {
+    const std::string cell = parity_cell(procs, victims, kind, "faults=3,seed=3");
+    SCOPED_TRACE(cell);
+    const exp::RunRecord expected = run_cell(cell, "exec=sim");
+    const exp::RunRecord actual = run_cell(
+        cell, expected.uncolored_survivors.empty()
+                  ? std::string("exec=rt-sharded:w=4")
+                  : std::string("deadline-ms=400,exec=rt-sharded:w=4"));
+    EXPECT_EQ(expected.crashed_ranks, std::vector<Rank>{11});
+    EXPECT_EQ(expected.ranks_crashed, 1);
+    EXPECT_EQ(actual.crashed_ranks, expected.crashed_ranks);
+    EXPECT_EQ(actual.ranks_crashed, expected.ranks_crashed);
+    EXPECT_EQ(actual.uncolored_survivors, expected.uncolored_survivors);
   }
 }
 

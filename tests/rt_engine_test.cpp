@@ -53,7 +53,11 @@ TEST(RtEngine, FaultAgnosticTreeLosesSubtreesCorrectionRecoversThem) {
   proto::CorrectionConfig none;
   none.kind = proto::CorrectionKind::kNone;
   proto::CorrectedTreeBroadcast bare(tree, none);
-  const EpochResult bare_result = engine.run_epoch(bare, std::chrono::seconds(20));
+  // Never completes (the descendants of 1 are unreachable), so a short
+  // deadline ends it, as in TimesOutWhenProtocolCannotComplete.
+  const EpochResult bare_result =
+      engine.run_epoch(bare, std::chrono::milliseconds(300));
+  EXPECT_TRUE(bare_result.timed_out);
   EXPECT_GT(bare_result.uncolored_live, 0);  // descendants of 1 missed
 
   proto::CorrectedTreeBroadcast corrected(tree, opportunistic(4));

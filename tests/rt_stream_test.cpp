@@ -70,7 +70,10 @@ TEST(RtStream, WindowedStreamColorsEveryEpoch) {
 TEST(RtStream, WindowOneMatchesOneShotSemantics) {
   const Rank procs = 16;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  Engine engine(procs, no_failures(procs));
+  // One worker: optimized-opportunistic message counts depend on the
+  // interleaving of cross-shard delivery, so exact counts are comparable
+  // only when one shard steps every rank.
+  Engine engine(procs, no_failures(procs), EngineOptions{.workers = 1});
 
   StreamOptions options;
   options.epochs = 6;

@@ -361,6 +361,28 @@ TEST(UdpParity, SimAndRtUdpAgreeOnSurvivorColoringUnderMidBroadcastDeaths) {
   }
 }
 
+TEST(UdpParity, KillOfAStaticallyFailedRankIsNoMidRunCrash) {
+  std::string why;
+  if (!udp_loopback_available(why)) GTEST_SKIP() << why;
+  // Seed 3's static sample of faults=3 already fails rank 7, so of the two
+  // kill= victims only 11 dies mid-run, on the sim as across processes.
+  const std::vector<Rank> victims = {7, 11};
+  for (const ParityKind& k : kParityKinds) {
+    const std::string cell = parity_cell(24, victims, k.kind, "faults=3,seed=3");
+    SCOPED_TRACE(cell);
+    const exp::RunRecord expected = run_cell(cell, "exec=sim");
+    const exp::RunRecord actual = run_cell(
+        cell, expected.uncolored_survivors.empty()
+                  ? std::string("exec=rt-udp:procs=4")
+                  : std::string("deadline-ms=400,exec=rt-udp:procs=4"));
+    EXPECT_EQ(expected.crashed_ranks, std::vector<Rank>{11});
+    EXPECT_EQ(expected.ranks_crashed, 1);
+    EXPECT_EQ(actual.crashed_ranks, expected.crashed_ranks);
+    EXPECT_EQ(actual.ranks_crashed, expected.ranks_crashed);
+    EXPECT_EQ(actual.uncolored_survivors, expected.uncolored_survivors);
+  }
+}
+
 TEST(UdpParity, ColoringParityHoldsUnderInjectedDatagramDrop) {
   std::string why;
   if (!udp_loopback_available(why)) GTEST_SKIP() << why;

@@ -455,6 +455,23 @@ TEST(FaultSet, KillAtSemantics) {
   EXPECT_THROW(faults.kill_at(0, 3), std::invalid_argument);
 }
 
+TEST(FaultSet, KillAtKeepsTheEarliestDeath) {
+  // A mid-run kill of a rank the static sample already failed must not
+  // revive it until the kill time: it stays failed from start.
+  FaultSet faults = FaultSet::from_list(6, {3});
+  faults.kill_at(3, 1);
+  EXPECT_TRUE(faults.failed_from_start(3));
+  EXPECT_EQ(faults.dies_at(3), 0);
+  EXPECT_EQ(faults.failed_count(), 1);
+  EXPECT_EQ(faults.initially_failed(), std::vector<topo::Rank>{3});
+  // An earlier kill still wins over a later one.
+  faults.kill_at(4, 9);
+  faults.kill_at(4, 5);
+  faults.kill_at(4, 7);
+  EXPECT_EQ(faults.dies_at(4), 5);
+  EXPECT_EQ(faults.failed_count(), 2);
+}
+
 }  // namespace
 }  // namespace ct::sim
 
