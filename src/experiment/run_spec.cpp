@@ -472,6 +472,15 @@ void RunSpec::validate() const {
     bad_spec("reduce colors only the root, so runtime epochs never complete; "
              "use exec=sim or collective allreduce");
   }
+  // The sim derives a synchronized start from the LogP model; the runtimes
+  // have no model clock to derive it from.
+  if (executor != Executor::kSim && protocol == ProtocolKind::kCorrectedTree &&
+      correction.kind != proto::CorrectionKind::kNone &&
+      correction.start == proto::CorrectionStart::kSynchronized &&
+      correction.sync_time <= 0) {
+    bad_spec("synchronized correction on a runtime needs an explicit sync=<ns> > 0; "
+             "use :overlapped or set sync=");
+  }
   if (protocol == ProtocolKind::kGossip && faults.gap_limit > 0) {
     bad_spec("gap= placement limits need a tree protocol");
   }

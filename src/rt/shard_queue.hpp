@@ -110,10 +110,12 @@ class LocalFifo {
 /// One shard's outgoing envelopes for one destination shard, in send order,
 /// waiting for room in the pair's ring. Stored in fixed-size blocks: a
 /// backlog behind a full ring grows without reallocating (a doubling vector
-/// briefly holds two copies of a multi-megabyte backlog, and a checked-
-/// correction probe storm stages ~100k envelopes) and drains from the front
-/// without moving the rest. Drained blocks are kept for reuse, so a steady
-/// state allocates nothing.
+/// briefly holds two copies of it) and drains from the front without moving
+/// the rest. Measured peak backlog for one destination: ~8k envelopes on the
+/// fault-free 16 Ki ladder, ~4k under checked correction with crashes and
+/// drops at 1 Ki, ~137k at 16 Ki where dropped probes make walks. Drained
+/// blocks are kept for reuse, so a ladder that refills the same blocks every
+/// epoch allocates nothing.
 class StagedQueue {
  public:
   static constexpr std::size_t kBlock = 4096;

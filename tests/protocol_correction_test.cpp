@@ -177,6 +177,28 @@ TEST(CheckedCorrection, OverlappedAlsoColorsEverything) {
   }
 }
 
+TEST(CheckedCorrection, OverlappedFaultFreeCountIsPinned) {
+  // Overlapped start is as deterministic as sync, so its fault-free cost is
+  // pinned exactly (6.38 msgs/proc at both sizes). A probe that reaches a
+  // rank before the rank starts correcting must still set its §3.1 stop
+  // distance. A rank that ignored such probes would walk the ring once it
+  // started: 11.05 and 23.05 msgs/proc, quiescence at 291 and 1067 ticks.
+  const struct {
+    Rank procs;
+    std::int64_t messages;
+    sim::Time quiescence;
+  } cells[] = {{256, 1633, 39}, {1024, 6529, 47}};
+  for (const auto& cell : cells) {
+    Scenario scenario = base_scenario("binomial", cell.procs);
+    scenario.correction.kind = CorrectionKind::kChecked;
+    scenario.correction.start = CorrectionStart::kOverlapped;
+    const sim::RunResult result = run_once(scenario, 1);
+    ASSERT_TRUE(result.fully_colored()) << "P=" << cell.procs;
+    EXPECT_EQ(result.total_messages, cell.messages) << "P=" << cell.procs;
+    EXPECT_EQ(result.quiescence_latency, cell.quiescence) << "P=" << cell.procs;
+  }
+}
+
 // --- Opportunistic correction -----------------------------------------------------
 
 TEST(Opportunistic, GuaranteeFollowsGapSize) {

@@ -116,6 +116,18 @@ TEST(ChaosPlan, EnablementReflectsOptions) {
   EXPECT_EQ(budget.crash_send_budget(6), -1);
 }
 
+/// `bcast:binomial:<kind>:overlapped@P=<procs>`, distance 4 where the kind
+/// takes one.
+std::string cell_head(Rank procs, proto::CorrectionKind kind) {
+  std::string spec = "bcast:binomial:";
+  spec += proto::correction_kind_name(kind);
+  if (kind == proto::CorrectionKind::kOpportunistic ||
+      kind == proto::CorrectionKind::kOptimizedOpportunistic) {
+    spec += ":4";
+  }
+  return spec + ":overlapped@P=" + std::to_string(procs);
+}
+
 // The fault-model parity suite, spec-driven (DESIGN.md §4e): build ONE
 // RunSpec string per scenario, execute it under exec=sim and exec=rt-*, and
 // require the identical survivor-coloring outcome from the two RunRecords.
@@ -127,13 +139,7 @@ TEST(ChaosPlan, EnablementReflectsOptions) {
 // sample).
 std::string parity_cell(Rank procs, const std::vector<Rank>& victims,
                         proto::CorrectionKind kind, const std::string& extra = "") {
-  std::string spec = "bcast:binomial:";
-  spec += proto::correction_kind_name(kind);
-  if (kind == proto::CorrectionKind::kOpportunistic ||
-      kind == proto::CorrectionKind::kOptimizedOpportunistic) {
-    spec += ":4";
-  }
-  spec += ":overlapped@P=" + std::to_string(procs);
+  std::string spec = cell_head(procs, kind);
   spec += ",kill=";
   for (std::size_t i = 0; i < victims.size(); ++i) {
     if (i) spec += '+';
@@ -147,6 +153,12 @@ std::string parity_cell(Rank procs, const std::vector<Rank>& victims,
 exp::RunRecord run_cell(const std::string& cell, const std::string& executor) {
   return exp::run(exp::parse_run_spec(cell + "," + executor));
 }
+
+constexpr proto::CorrectionKind kSixKinds[] = {
+    proto::CorrectionKind::kNone,          proto::CorrectionKind::kOpportunistic,
+    proto::CorrectionKind::kOptimizedOpportunistic,
+    proto::CorrectionKind::kChecked,       proto::CorrectionKind::kFailureProof,
+    proto::CorrectionKind::kDelayed};
 
 TEST(ChaosParity, SimAndRtAgreeOnSurvivorColoringUnderMidBroadcastDeaths) {
   const Rank procs = 24;
@@ -191,10 +203,7 @@ TEST(ChaosParity, KillOfAStaticallyFailedRankIsNoMidRunCrash) {
   // the sim as on the runtime.
   const Rank procs = 24;
   const std::vector<Rank> victims = {7, 11};
-  for (const proto::CorrectionKind kind :
-       {proto::CorrectionKind::kNone, proto::CorrectionKind::kOpportunistic,
-        proto::CorrectionKind::kOptimizedOpportunistic, proto::CorrectionKind::kChecked,
-        proto::CorrectionKind::kFailureProof, proto::CorrectionKind::kDelayed}) {
+  for (const proto::CorrectionKind kind : kSixKinds) {
     const std::string cell = parity_cell(procs, victims, kind, "faults=3,seed=3");
     SCOPED_TRACE(cell);
     const exp::RunRecord expected = run_cell(cell, "exec=sim");
@@ -207,6 +216,40 @@ TEST(ChaosParity, KillOfAStaticallyFailedRankIsNoMidRunCrash) {
     EXPECT_EQ(actual.crashed_ranks, expected.crashed_ranks);
     EXPECT_EQ(actual.ranks_crashed, expected.ranks_crashed);
     EXPECT_EQ(actual.uncolored_survivors, expected.uncolored_survivors);
+  }
+}
+
+/// The fault-free cell the count parity tests run on every substrate.
+/// Delayed correction probes once its delay passes with no word from the
+/// right, so its count is set by the delay against the dissemination span:
+/// at the default 200 us, rt-udp reads up to 1.55x the sim in a release
+/// build and 2.4x under TSan, whose epochs (3-5 ms at P = 256) outlast the
+/// delay. A delay past any fault-free span (100 ms; ticks on the sim)
+/// measures the protocol, not the build's speed.
+std::string count_cell(proto::CorrectionKind kind) {
+  const bool delayed = kind == proto::CorrectionKind::kDelayed;
+  return cell_head(256, kind) + (delayed ? ",delay=100000000" : "") + ",reps=5,warmup=1";
+}
+
+// Messages/process is the paper's own cost yardstick, and one RunSpec cell
+// must cost the same on every substrate. Fault-free with overlapped start,
+// each correction config sends within [0.5x, 2.5x] of the sim's count. The
+// runtime differs from the sim only in timing: how far dissemination has
+// got when a probe arrives sets how many probes checked and failure-proof
+// correction send (measured at P = 256 and 1Ki in release, ASan and TSan
+// builds: checked <= 1.56x, failure-proof <= 1.76x, the rest <= 1.07x). A
+// checked rank that ignored probes arriving before its own start would walk
+// the ring instead, at 10-12x the sim here. Sync start is sim-only: on a
+// runtime a fault-free epoch completes before any sync= time.
+TEST(CountParity, FaultFreeMessagesPerProcessTrackTheSim) {
+  for (const proto::CorrectionKind kind : kSixKinds) {
+    const std::string cell = count_cell(kind);
+    SCOPED_TRACE(cell);
+    const exp::RunRecord expected = run_cell(cell, "exec=sim");
+    const exp::RunRecord actual = run_cell(cell, "exec=rt-sharded:w=4");
+    EXPECT_EQ(actual.incomplete + actual.timeouts, 0);
+    EXPECT_GE(actual.messages_per_process, 0.5 * expected.messages_per_process);
+    EXPECT_LE(actual.messages_per_process, 2.5 * expected.messages_per_process);
   }
 }
 

@@ -291,18 +291,24 @@ std::vector<Rank> pick_victims(Rank procs, int count, support::Xoshiro256ss& rng
   return victims;
 }
 
-/// One cell string per scenario, exactly as the sharded parity suite builds
-/// them; `extra` appends chaos knobs shared by both substrates (sim ignores
-/// link perturbations, so the cell string stays identical).
-std::string parity_cell(Rank procs, const std::vector<Rank>& victims,
-                        proto::CorrectionKind kind, const std::string& extra = "") {
+/// `bcast:binomial:<kind>:overlapped@P=<procs>`, distance 4 where the kind
+/// takes one.
+std::string cell_head(Rank procs, proto::CorrectionKind kind) {
   std::string spec = "bcast:binomial:";
   spec += proto::correction_kind_name(kind);
   if (kind == proto::CorrectionKind::kOpportunistic ||
       kind == proto::CorrectionKind::kOptimizedOpportunistic) {
     spec += ":4";
   }
-  spec += ":overlapped@P=" + std::to_string(procs);
+  return spec + ":overlapped@P=" + std::to_string(procs);
+}
+
+/// One cell string per scenario, exactly as the sharded parity suite builds
+/// them; `extra` appends chaos knobs shared by both substrates (sim ignores
+/// link perturbations, so the cell string stays identical).
+std::string parity_cell(Rank procs, const std::vector<Rank>& victims,
+                        proto::CorrectionKind kind, const std::string& extra = "") {
+  std::string spec = cell_head(procs, kind);
   spec += ",kill=";
   for (std::size_t i = 0; i < victims.size(); ++i) {
     if (i) spec += '+';
@@ -380,6 +386,29 @@ TEST(UdpParity, KillOfAStaticallyFailedRankIsNoMidRunCrash) {
     EXPECT_EQ(actual.crashed_ranks, expected.crashed_ranks);
     EXPECT_EQ(actual.ranks_crashed, expected.ranks_crashed);
     EXPECT_EQ(actual.uncolored_survivors, expected.uncolored_survivors);
+  }
+}
+
+/// The sharded count suite's fault-free cell; rt_chaos_test's count_cell
+/// explains the delayed cell's delay.
+std::string count_cell(proto::CorrectionKind kind) {
+  const bool delayed = kind == proto::CorrectionKind::kDelayed;
+  return cell_head(256, kind) + (delayed ? ",delay=100000000" : "") + ",reps=5,warmup=1";
+}
+
+TEST(UdpParity, FaultFreeMessagesPerProcessTrackTheSim) {
+  std::string why;
+  if (!udp_loopback_available(why)) GTEST_SKIP() << why;
+  // The sharded suite's count band (CountParity in rt_chaos_test), across
+  // processes: fault-free, overlapped start, within [0.5x, 2.5x] of the sim.
+  for (const ParityKind& k : kParityKinds) {
+    const std::string cell = count_cell(k.kind);
+    SCOPED_TRACE(cell);
+    const exp::RunRecord expected = run_cell(cell, "exec=sim");
+    const exp::RunRecord actual = run_cell(cell, "exec=rt-udp:procs=4");
+    EXPECT_EQ(actual.incomplete + actual.timeouts, 0);
+    EXPECT_GE(actual.messages_per_process, 0.5 * expected.messages_per_process);
+    EXPECT_LE(actual.messages_per_process, 2.5 * expected.messages_per_process);
   }
 }
 

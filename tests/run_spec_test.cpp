@@ -294,6 +294,13 @@ TEST(RunSpecParse, RejectsInconsistentAxes) {
                   "exec=sim");
   expect_rejected("reduce:binomial:checked:overlapped@P=8,proto=gossip",
                   "reduce/allreduce");
+  // Only the sim derives a synchronized start time; a runtime needs sync=.
+  expect_rejected("bcast:binomial:checked:sync@P=64,reps=2,exec=rt-sharded:w=2",
+                  "sync=<ns>");
+  expect_rejected("bcast:binomial:checked:sync@P=64,reps=2,exec=rt-udp:procs=2",
+                  "sync=<ns>");
+  EXPECT_NO_THROW(exp::parse_run_spec(
+      "bcast:binomial:checked:sync@P=64,sync=300000,reps=2,exec=rt-sharded:w=2"));
   expect_rejected("bcast:binomial:checked:overlapped@P=8,proto=gossip,gap=4",
                   "tree protocol");
   // PR9 self-healing axes: repair is a wall-clock (rt) concept, and the
