@@ -1160,21 +1160,19 @@ void RunRecord::write_json(support::JsonWriter& w) const {
       .field("messages_dropped", messages_dropped)
       .field("messages_delayed", messages_delayed)
       .field("messages_duplicated", messages_duplicated)
-      // Streaming keys appended (never reordered): bench tooling reads
-      // records positionally against the pre-PR8 key list.
+      // Streaming keys.
       .field("latency_p999", latency_p999, 1)
       .field("offered_rate", offered_rate, 1)
       .field("achieved_rate", achieved_rate, 1)
       .field("deliveries_per_sec", deliveries_per_sec, 0)
-      // Recovery keys appended after the streaming block, same append-only
-      // contract: positional readers of older records stay correct.
+      // Recovery keys (repair=1 runs).
       .field("repairs", repairs)
       .field("rejoins", rejoins)
       .field("replayed_epochs", replayed_epochs)
       .field("state_transfers", state_transfers)
       .field("epochs_to_converge", epochs_to_converge)
-      // Transport keys appended after the recovery block (exec=rt-udp
-      // perfect-links tallies; zeros on in-process executors).
+      // Transport keys (exec=rt-udp perfect-links tallies; zeros on
+      // in-process executors).
       .field("retransmits", retransmits)
       .field("dup_drops", dup_drops)
       .end_object();

@@ -213,9 +213,7 @@ struct RunRecord {
   std::int64_t messages_delayed = 0;
   std::int64_t messages_duplicated = 0;
 
-  // --- recovery tallies (repair=1 runs only; zeros otherwise). JSON keys
-  // are appended at the END of write_json so positional bench tooling
-  // written against older records keeps working. ---
+  // --- recovery tallies (repair=1 runs only; zeros otherwise) ---
   std::int64_t repairs = 0;
   std::int64_t rejoins = 0;
   std::int64_t replayed_epochs = 0;
@@ -223,7 +221,7 @@ struct RunRecord {
   std::int64_t epochs_to_converge = 0;
 
   // --- transport tallies (exec=rt-udp only; zeros on in-process
-  // executors). Same append-only JSON contract as the blocks above. ---
+  // executors) ---
   std::int64_t retransmits = 0;  ///< perfect-links datagram retransmissions
   std::int64_t dup_drops = 0;    ///< duplicate datagrams dropped by dedup
 

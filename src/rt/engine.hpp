@@ -241,7 +241,9 @@ class Engine {
   topo::Rank live_count_ = 0;
   ChaosPlan chaos_;
   /// Repair mode: current persistent dead set (failed_ plus persisted chaos
-  /// crashes minus revivals); equals failed_ when repair is off.
+  /// crashes minus revivals); equals failed_ when repair is off. Each
+  /// one-shot epoch's launch pre-marks it; streams keep their own
+  /// admission-time set.
   std::vector<char> dead_;
   MembershipView membership_;
   std::int32_t generation_ = 0;

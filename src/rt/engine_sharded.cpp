@@ -65,7 +65,6 @@ class Engine::Sharded final : private Stepper::Driver {
   Sharded(Rank num_procs, const std::vector<char>& failed, const EngineOptions& options)
       : num_procs_(num_procs),
         failed_(failed),
-        dead_(failed),
         repair_(options.repair),
         chunk_(shard_chunk(num_procs, options)),
         num_shards_((static_cast<std::size_t>(num_procs) + chunk_ - 1) / chunk_),
@@ -89,13 +88,17 @@ class Engine::Sharded final : private Stepper::Driver {
 
   /// One-shot epoch: slot 0 of a one-slot window, bracketed by the epoch
   /// barrier. The coordinator stages every slice itself while the workers
-  /// are parked, and sleeps on the barrier until the slot retires.
-  EpochResult run_epoch(sim::Protocol& protocol, std::int64_t timeout_ns) {
+  /// are parked, and sleeps on the barrier until the slot retires. `dead`
+  /// and `generation` are the engine's one-shot membership; launch reads
+  /// them before the slot's kActive release, so repair passes between
+  /// epochs need no synchronization of their own.
+  EpochResult run_epoch(sim::Protocol& protocol, const std::vector<char>& dead,
+                        std::int32_t generation, std::int64_t timeout_ns) {
     open_window(1, /*one_shot=*/true);
     Slot& slot = stepper_.slot(0);
     admit(slot, ++epoch_);
     for (Shard& shard : shards_) stage_slice(shard, 0, slot);
-    launch(slot, protocol, dead_, generation_, timeout_ns);
+    launch(slot, protocol, dead, generation, timeout_ns);
     stepper_.start_clock();
     epoch_barrier_.arrive_and_wait();  // epoch start
     epoch_barrier_.arrive_and_wait();  // epoch end
@@ -113,14 +116,6 @@ class Engine::Sharded final : private Stepper::Driver {
 
   /// nullptr disables injection. The plan outlives all epochs run under it.
   void set_chaos(const ChaosPlan* plan) { stepper_.set_chaos(plan, /*link_verdicts=*/true); }
-
-  /// Repair pass (DESIGN.md §4i): adopt a new persistent dead set for
-  /// subsequent one-shot epochs. Runs between epochs while every worker is
-  /// parked at the epoch barrier, which publishes the writes.
-  void set_membership(const std::vector<char>& dead, std::int32_t generation) {
-    dead_ = dead;
-    generation_ = generation;
-  }
 
  private:
   using Shard = Stepper::Shard;
@@ -388,12 +383,6 @@ class Engine::Sharded final : private Stepper::Driver {
 
   Rank num_procs_;
   const std::vector<char>& failed_;
-  /// One-shot membership: failed_ plus repair-mode crashes minus revivals
-  /// (== failed_ when repair is off), pre-marked into slot 0 at each launch.
-  /// Written only between epochs (set_membership). Streams keep their own
-  /// admission-time set, stream_dead_.
-  std::vector<char> dead_;
-  std::int32_t generation_ = 0;
   const bool repair_;
 
   const std::size_t chunk_;       // ranks per shard; shard(r) = r / chunk_
@@ -606,12 +595,12 @@ bool Engine::repair_membership(const std::vector<topo::Rank>& newly_dead,
   live_count_ = 0;
   for (const char d : dead_) live_count_ += (d == 0);
   membership_ = MembershipView::over_survivors(dead_, generation_);
-  sharded_->set_membership(dead_, generation_);
   return true;
 }
 
 EpochResult Engine::run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout) {
-  return sharded_->run_epoch(protocol, bounded_timeout(timeout, options_.epoch_deadline));
+  return sharded_->run_epoch(protocol, dead_, generation_,
+                             bounded_timeout(timeout, options_.epoch_deadline));
 }
 
 StreamResult Engine::run_stream(const ProtocolFactory& factory,

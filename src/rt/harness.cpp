@@ -4,6 +4,15 @@
 
 namespace ct::rt {
 
+namespace {
+
+/// measure_recovery: epochs the sender-side replay log retains. A rejoin
+/// whose outage fits the log replays the missed epochs; a longer outage
+/// falls back to a fresh-epoch state transfer (DESIGN.md §4i).
+constexpr std::size_t kReplayLogCapacity = 64;
+
+}  // namespace
+
 HarnessResult measure_broadcast(Engine& engine, const ProtocolFactory& factory,
                                 const HarnessOptions& options) {
   for (std::int64_t i = 0; i < options.warmup; ++i) {
@@ -27,7 +36,7 @@ HarnessResult measure_recovery(Engine& engine,
                                const MembershipProtocolFactory& factory,
                                const HarnessOptions& options) {
   const ChaosPlan& plan = engine.chaos();
-  ReplayLog log(options.replay_log_capacity);
+  ReplayLog log(kReplayLogCapacity);
   // A rank that crashed and has a revival scheduled. since_epoch is the
   // global epoch index it crashed in (the first epoch it needs replayed);
   // revive_at_ns < 0 means the chaos plan pinned it dead for good.

@@ -28,15 +28,6 @@ struct HarnessResult {
   std::int64_t messages_dropped = 0;
   std::int64_t messages_delayed = 0;
   std::int64_t messages_duplicated = 0;
-  /// First degraded epoch of the run, kept whole so callers can print a
-  /// degradation report (crashed ranks, uncolored survivors, gaps) without
-  /// re-running; meaningful only when epochs_degraded > 0.
-  EpochResult first_degraded;
-  /// Last degraded epoch of the run, kept whole alongside the first:
-  /// recovery runs show both the injury and the final state before
-  /// convergence. Equals first_degraded when only one epoch degraded;
-  /// meaningful only when epochs_degraded > 0.
-  EpochResult last_degraded;
   /// First measured epoch, kept whole (degraded or not). exp::run reads its
   /// crashed_ranks / uncolored_survivors so one RunSpec execution yields the
   /// same per-rank detail the simulator's keep_per_rank_detail run does.
@@ -85,10 +76,6 @@ struct HarnessOptions {
   std::int64_t warmup = 3;
   std::int64_t iterations = 20;
   std::chrono::nanoseconds epoch_timeout = std::chrono::seconds(10);
-  /// measure_recovery only: epochs the sender-side replay log retains. A
-  /// rejoin whose outage fits the log replays the missed epochs; a longer
-  /// outage falls back to a fresh-epoch state transfer (DESIGN.md §4i).
-  std::size_t replay_log_capacity = 64;
 };
 
 /// Runs `options.iterations` measured epochs (after warmup) of protocols

@@ -41,11 +41,7 @@ void fold_epoch(HarnessResult& result, const EpochResult& epoch, std::int64_t la
   result.messages_dropped += epoch.messages_dropped;
   result.messages_delayed += epoch.messages_delayed;
   result.messages_duplicated += epoch.messages_duplicated;
-  if (epoch.degraded()) {
-    if (result.epochs_degraded == 0) result.first_degraded = epoch;
-    result.last_degraded = epoch;
-    ++result.epochs_degraded;
-  }
+  if (epoch.degraded()) ++result.epochs_degraded;
   if (epoch.timed_out) {
     ++result.timeouts;
     return;

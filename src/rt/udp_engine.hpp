@@ -23,15 +23,16 @@
 // admits the next — no separate BEGIN. A worker that sees no END within
 // twice the epoch timeout self-advances as timed out, so a dead coordinator
 // cannot hang the run. Results stream back to the parent over pipes
-// (support/pipe_io.hpp, shared with exp::run_replicated_mp), and the parent
-// merges them into the rt::HarnessResult shape measure_broadcast produces
-// (plus the transport's retransmits / dup_drops tallies).
+// (support/pipe_io.hpp), and the parent merges them into the
+// rt::HarnessResult shape measure_broadcast produces (plus the transport's
+// retransmits / dup_drops tallies).
 //
-// Fork discipline (same as exp/mp.hpp): call measure_broadcast_udp before
-// the process spawns threads. The parent binds ALL worker sockets before
-// forking — children inherit bound fds, so there is no port-collision or
-// bind-race window, and port_base = 0 can leave port assignment entirely
-// to the kernel.
+// Fork discipline: call measure_broadcast_udp before the process spawns
+// threads. A forked child inherits only the calling thread, so a lock held
+// by any other thread would deadlock it. The parent binds ALL worker
+// sockets before forking — children inherit bound fds, so there is no
+// port-collision or bind-race window, and port_base = 0 can leave port
+// assignment entirely to the kernel.
 
 #include <chrono>
 #include <cstdint>

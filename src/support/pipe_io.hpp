@@ -1,8 +1,7 @@
 #pragma once
-// Forked workers reporting to their parent over pipes, for both forked
-// executors (exp::run_replicated_mp and exec=rt-udp). Frames are raw bytes:
-// both ends are the same binary on the same machine, so values round-trip
-// bit-exactly. POSIX only.
+// Forked workers reporting to their parent over pipes, for the forked
+// executor exec=rt-udp. Frames are raw bytes: both ends are the same binary
+// on the same machine, so values round-trip bit-exactly. POSIX only.
 
 #include <cstddef>
 #include <functional>

@@ -1,7 +1,8 @@
 // Tier-1 determinism guarantees of the rebuilt hot path (run under TSan via
 // the `sanitize` ctest label):
 //  * run_replicated over a thread pool (2/4/8 workers, work-stealing) is
-//    byte-identical to the serial loop;
+//    byte-identical to the serial loop, and run_replicated_range slices
+//    merged in order reproduce the full sweep;
 //  * the calendar event queue replays the exact (time, lane, seq) event
 //    order of the binary-heap reference on recorded traces, fault-free and
 //    with 2 % faults;
@@ -103,6 +104,22 @@ TEST(RunReplicated, GossipPooledIsByteIdenticalToSerial) {
   const support::ThreadPool pool(4);
   const exp::Aggregate pooled = exp::run_replicated(scenario, 24, 7, &pool);
   expect_same_aggregate(serial, pooled);
+}
+
+/// The slice contract sim sweeps rely on: replication i draws
+/// derive_seed(seed, i) from its global index, so uneven pooled slices
+/// merged in ascending order reproduce the serial full sweep byte for byte.
+TEST(RunReplicated, RangeSlicesConcatenateToTheFullSweep) {
+  const exp::Scenario scenario = corrected_tree_scenario(256, 0.02);
+  const std::uint64_t seed = 0xfeedULL;
+  const exp::Aggregate full = exp::run_replicated(scenario, 48, seed);
+  const support::ThreadPool pool(4);
+  const std::pair<std::size_t, std::size_t> slices[] = {{0, 5}, {5, 30}, {30, 48}};
+  exp::Aggregate merged;
+  for (const auto& [begin, end] : slices) {
+    merged.merge(exp::run_replicated_range(scenario, begin, end, seed, &pool));
+  }
+  expect_same_aggregate(full, merged);
 }
 
 // --- ReplicaPlan reuse ------------------------------------------------------

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "experiment/mp.hpp"
 #include "experiment/run_spec.hpp"
 #include "rt/udp_engine.hpp"
 #include "protocol/tree_broadcast.hpp"
@@ -280,26 +279,6 @@ std::vector<SpecSection> spec_sections(bool smoke) {
   return {sweep, rt, chaos, stream, sim_stream, recovery, udp};
 }
 
-/// The process-sharded sweep cell (DESIGN.md §4g): the headline sweep cell
-/// (base P, 2% faults), run through exp::run_replicated_mp at 1 and 2
-/// worker processes. Registered here so --list covers it.
-std::string mp_sweep_spec(bool smoke) {
-  const exp::Scale scale = exp::default_scale(smoke ? 256 : 8192, smoke ? 4 : 1000);
-  return "bcast:binomial:checked:sync@P=" + std::to_string(scale.procs) +
-         ",f=0.02,reps=" + std::to_string(scale.reps) +
-         ",seed=" + std::to_string(scale.seed) + ",exec=sim";
-}
-
-/// One sweep_mp measurement row.
-struct MpRow {
-  int procs = 1;
-  bool forked = false;
-  std::int64_t runs = 0;
-  double wall_seconds = 0.0;
-  double reps_per_sec = 0.0;
-  double mean_quiescence = 0.0;
-};
-
 double peak_rss_mb() {
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -341,8 +320,6 @@ int main(int argc, char** argv) {
                     exp::parse_run_spec(text).to_string().c_str());
       }
     }
-    std::printf("sweep_mp %s\n",
-                exp::parse_run_spec(mp_sweep_spec(smoke)).to_string().c_str());
     return 0;
   }
 
@@ -374,45 +351,6 @@ int main(int argc, char** argv) {
                                            min_seconds, min_iters));
   }
 
-  // Process-sharded sweep (DESIGN.md §4g): the headline sweep cell through
-  // exp::run_replicated_mp at 1 and 2 worker processes. Measured FIRST —
-  // fork requires that no thread exist yet, and the shared ThreadPool below
-  // spawns hardware_concurrency() of them. The procs=1 row is the in-process
-  // serial baseline the 2-proc row's speedup is quoted against.
-  const exp::RunSpec mp_spec = exp::parse_run_spec(mp_sweep_spec(smoke));
-  std::vector<MpRow> mp_rows;
-  bool mp_identical = true;
-  if (matches("sweep_mp", mp_spec)) {
-    const exp::Scenario mp_scenario = mp_spec.to_scenario();
-    const auto mp_reps = static_cast<std::size_t>(mp_spec.reps);
-    std::vector<double> mp_baseline;
-    for (const int procs : {1, 2}) {
-      const auto start = Clock::now();
-      const exp::MpSweepResult sharded =
-          exp::run_replicated_mp(mp_scenario, mp_reps, mp_spec.seed, procs);
-      const double secs = seconds_since(start);
-      if (!sharded.error.empty()) {
-        std::fprintf(stderr, "bench_report: sweep_mp procs=%d: %s\n", procs,
-                     sharded.error.c_str());
-        return 1;
-      }
-      MpRow row;
-      row.procs = sharded.procs_used;
-      row.forked = sharded.forked;
-      row.runs = sharded.aggregate.runs;
-      row.wall_seconds = secs;
-      row.reps_per_sec = secs > 0.0 ? static_cast<double>(mp_reps) / secs : 0.0;
-      row.mean_quiescence = sharded.aggregate.quiescence_latency.mean();
-      mp_rows.push_back(row);
-      // The merge invariant: every procs value yields byte-identical samples.
-      if (mp_baseline.empty()) {
-        mp_baseline = sharded.aggregate.quiescence_latency.values();
-      } else if (sharded.aggregate.quiescence_latency.values() != mp_baseline) {
-        mp_identical = false;
-      }
-    }
-  }
-
   // Run every registered cell through the one dispatcher, keeping the
   // parsed spec next to its record (the compat objects below need axes like
   // fault_fraction that the JSON row only carries inside the spec string).
@@ -423,10 +361,10 @@ int main(int argc, char** argv) {
   std::vector<std::vector<Cell>> results(sections.size());
 
   // The rt_udp section (always last) forks one worker process per rank
-  // slice, so — like sweep_mp above — it must run before the shared
-  // ThreadPool spawns its threads. Sandboxes without loopback sockets skip
-  // it with a note; the section's JSON array is then empty (the same
-  // clean-skip convention as rt_udp_test).
+  // slice, so it must run before the shared ThreadPool spawns its threads.
+  // Sandboxes without loopback sockets skip it with a note; the section's
+  // JSON array is then empty (the same clean-skip convention as
+  // rt_udp_test).
   const std::size_t udp_section = sections.size() - 1;
   std::string udp_unavailable;
   if (rt::udp_loopback_available(udp_unavailable)) {
@@ -496,29 +434,6 @@ int main(int argc, char** argv) {
     w.key(sections[s].name).begin_array();
     for (const Cell& cell : results[s]) cell.record.write_json(w);
     w.end_array();
-  }
-  if (!mp_rows.empty()) {
-    const double mp_speedup =
-        mp_rows.size() > 1 && mp_rows.front().reps_per_sec > 0.0
-            ? mp_rows.back().reps_per_sec / mp_rows.front().reps_per_sec
-            : 0.0;
-    w.key("sweep_mp")
-        .begin_object()
-        .field("spec", mp_spec.to_string().c_str())
-        .field("merge_bit_identical", mp_identical);
-    w.key("rows").begin_array();
-    for (const MpRow& row : mp_rows) {
-      w.begin_object()
-          .field("procs", static_cast<std::int64_t>(row.procs))
-          .field("forked", row.forked)
-          .field("runs", row.runs)
-          .field("wall_seconds", row.wall_seconds, 3)
-          .field("reps_per_sec", row.reps_per_sec, 3)
-          .field("mean_quiescence", row.mean_quiescence, 4)
-          .end_object();
-    }
-    w.end_array();
-    w.field("speedup_2proc", mp_speedup, 2).end_object();
   }
   if (sweep) {
     w.key("sweep")
