@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
       return std::make_unique<proto::AckTreeBroadcast>(tree);
     }, reps);
     const Outcome detector = run(env, faults, [&](std::size_t) {
-      return std::make_unique<proto::DetectorTreeBroadcast>(tree, params,
-                                                            proto::DetectorConfig{});
+      return std::make_unique<proto::DetectorTreeBroadcast>(tree, params);
     }, reps);
     const Outcome multi = run(env, faults, [&](std::size_t) {
       return std::make_unique<proto::MultiTreeBroadcast>(

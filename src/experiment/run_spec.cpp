@@ -245,31 +245,37 @@ std::string RunSpec::to_string() const {
   };
   if (protocol == ProtocolKind::kAckTree) kv("proto", "ack");
   if (protocol == ProtocolKind::kGossip) kv("proto", "gossip");
-  const sim::LogP defaults{};
-  if (params.L != defaults.L) kv("L", std::to_string(params.L));
-  if (params.o != defaults.o) kv("o", std::to_string(params.o));
-  if (params.g != defaults.g) kv("g", std::to_string(params.g));
-  if (params.G != defaults.G) kv("G", std::to_string(params.G));
-  if (params.O != defaults.O) kv("O", std::to_string(params.O));
-  if (params.bytes != defaults.bytes) kv("bytes", std::to_string(params.bytes));
+  const RunSpec defaults{};
+  if (params.L != defaults.params.L) kv("L", std::to_string(params.L));
+  if (params.o != defaults.params.o) kv("o", std::to_string(params.o));
+  if (params.g != defaults.params.g) kv("g", std::to_string(params.g));
+  if (params.G != defaults.params.G) kv("G", std::to_string(params.G));
+  if (params.O != defaults.params.O) kv("O", std::to_string(params.O));
+  if (params.bytes != defaults.params.bytes) kv("bytes", std::to_string(params.bytes));
   if (correction.delay != 0) kv("delay", std::to_string(correction.delay));
   if (correction.sync_time != 0) kv("sync", std::to_string(correction.sync_time));
-  if (correction.redundancy != 2) kv("redundancy", std::to_string(correction.redundancy));
+  if (correction.redundancy != defaults.correction.redundancy) {
+    kv("redundancy", std::to_string(correction.redundancy));
+  }
   if (gossip_rounds > 0) kv("gossip-rounds", std::to_string(gossip_rounds));
-  if (gossip_time != 40) kv("gossip-time", std::to_string(gossip_time));
-  if (reduce_distance != 1) kv("rdist", std::to_string(reduce_distance));
+  if (gossip_time != defaults.gossip_time) kv("gossip-time", std::to_string(gossip_time));
+  if (reduce_distance != defaults.reduce_distance) {
+    kv("rdist", std::to_string(reduce_distance));
+  }
   if (faults.count > 0) kv("faults", std::to_string(faults.count));
   if (faults.fraction > 0.0) kv("f", format_double(faults.fraction));
   if (faults.gap_limit > 0) kv("gap", std::to_string(faults.gap_limit));
   if (!faults.kill.empty()) kv("kill", join_ranks(faults.kill));
   if (faults.chaos_seed != 0) kv("chaos-seed", std::to_string(faults.chaos_seed));
   if (faults.crash_fraction > 0.0) kv("crash-frac", format_double(faults.crash_fraction));
-  if (faults.crash_window_us != 2000) {
+  if (faults.crash_window_us != defaults.faults.crash_window_us) {
     kv("crash-window-us", std::to_string(faults.crash_window_us));
   }
   if (faults.drop_prob > 0.0) kv("drop-prob", format_double(faults.drop_prob));
   if (faults.delay_prob > 0.0) kv("delay-prob", format_double(faults.delay_prob));
-  if (faults.delay_us != 200) kv("delay-us", std::to_string(faults.delay_us));
+  if (faults.delay_us != defaults.faults.delay_us) {
+    kv("delay-us", std::to_string(faults.delay_us));
+  }
   if (faults.duplicate_prob > 0.0) kv("dup-prob", format_double(faults.duplicate_prob));
   if (faults.repair) kv("repair", "1");
   if (faults.revive_fraction > 0.0) {
@@ -278,11 +284,11 @@ std::string RunSpec::to_string() const {
   if (faults.revive_after_us > 0) {
     kv("revive-after-us", std::to_string(faults.revive_after_us));
   }
-  if (reps != 20) kv("reps", std::to_string(reps));
-  if (warmup != 2) kv("warmup", std::to_string(warmup));
-  if (seed != 0x5eed5eed) kv("seed", std::to_string(seed));
+  if (reps != defaults.reps) kv("reps", std::to_string(reps));
+  if (warmup != defaults.warmup) kv("warmup", std::to_string(warmup));
+  if (seed != defaults.seed) kv("seed", std::to_string(seed));
   if (deadline_ms != 0) kv("deadline-ms", std::to_string(deadline_ms));
-  if (window != 1) kv("window", std::to_string(window));
+  if (window != defaults.window) kv("window", std::to_string(window));
   if (rate > 0.0) kv("rate", format_double(rate));
   if (chunk > 0) kv("chunk", std::to_string(chunk));
   kv("exec", executor_token(*this));
@@ -1033,9 +1039,6 @@ RunRecord run_rt(const RunSpec& spec) {
   engine_options.workers = spec.workers;
   if (spec.rt_mesh_capacity > 0) {
     engine_options.mesh_capacity = static_cast<std::size_t>(spec.rt_mesh_capacity);
-  }
-  if (spec.deadline_ms > 0) {
-    engine_options.epoch_deadline = std::chrono::milliseconds(spec.deadline_ms);
   }
   engine_options.repair = spec.faults.repair;
   rt::Engine engine(spec.params.P, static_failures(spec, protocol.tree), engine_options);

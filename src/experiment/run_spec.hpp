@@ -120,7 +120,7 @@ struct RunSpec {
   std::int64_t warmup = 2;   ///< rt warmup epochs (sim: unused)
   std::uint64_t seed = 0x5eed5eed;
   int workers = 0;           ///< rt-sharded shard count; 0 = hardware
-  std::int64_t deadline_ms = 0;  ///< rt epoch deadline+timeout; 0 = 10 s timeout
+  std::int64_t deadline_ms = 0;  ///< rt per-epoch timeout; 0 = 10 s
 
   // --- streaming axes (PR8). window > 1 or rate > 0 turns the run into one
   // *stream* of `reps` pipelined epochs instead of `reps` isolated epochs:

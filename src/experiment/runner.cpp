@@ -87,7 +87,7 @@ Prepared prepare(const Scenario& input) {
   if (scenario.protocol == ProtocolKind::kCorrectedTree &&
       scenario.correction.kind != proto::CorrectionKind::kNone &&
       scenario.correction.start == proto::CorrectionStart::kSynchronized &&
-      scenario.correction.sync_time == 0 && scenario.auto_sync_time) {
+      scenario.correction.sync_time == 0) {
     scenario.correction.sync_time =
         proto::fault_free_dissemination_time(*prepared.tree, scenario.params);
   }

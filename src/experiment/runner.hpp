@@ -34,6 +34,8 @@ struct Scenario {
 
   ProtocolKind protocol = ProtocolKind::kCorrectedTree;
   topo::TreeSpec tree{};
+  /// Synchronized correction with sync_time == 0 gets the fault-free
+  /// dissemination time, filled in by the runner.
   proto::CorrectionConfig correction{};
   proto::GossipConfig gossip{};  // gossip only (correction taken from here)
 
@@ -48,10 +50,6 @@ struct Scenario {
   /// chaos kill at ns 0). Used by the RunSpec fault model and the sim/rt
   /// parity tests.
   std::vector<topo::Rank> mid_run_deaths;
-
-  /// For synchronized tree correction with sync_time == 0 the runner fills
-  /// in the fault-free dissemination time automatically.
-  bool auto_sync_time = true;
 };
 
 /// The fault set replication `rep_seed` will run under (static sample plus

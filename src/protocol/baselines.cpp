@@ -10,6 +10,11 @@ using topo::Rank;
 namespace {
 constexpr std::int64_t kDetectorTimer = 200;
 constexpr std::int64_t kPullRetryTimer = 201;
+/// Extra waiting time beyond the fault-free schedule before a process
+/// suspects a failure (the failure-detector timeout).
+constexpr sim::Time kDetectionSlack = 8;
+/// Re-suspicion interval while climbing the ancestry during recovery.
+constexpr sim::Time kPullInterval = 12;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -18,18 +23,13 @@ constexpr std::int64_t kPullRetryTimer = 201;
 
 DetectorTreeBroadcast::DetectorTreeBroadcast(const topo::Tree& tree,
                                              const sim::LogP& params,
-                                             DetectorConfig config, std::int64_t payload)
+                                             std::int64_t payload)
     : tree_(tree),
       params_(params),
-      config_(config),
       payload_(payload),
       started_(static_cast<std::size_t>(tree.num_procs()), 0),
       pull_target_(static_cast<std::size_t>(tree.num_procs()), topo::kNoRank),
-      pending_pulls_(static_cast<std::size_t>(tree.num_procs())) {
-  if (config_.detection_slack < 1 || config_.pull_interval < 1) {
-    throw std::invalid_argument("detector timeouts must be positive");
-  }
-}
+      pending_pulls_(static_cast<std::size_t>(tree.num_procs())) {}
 
 sim::Time DetectorTreeBroadcast::expected_colored_by(Rank r) const {
   // Per-level worst case: a parent may serialise up to max_fanout sends
@@ -42,7 +42,7 @@ sim::Time DetectorTreeBroadcast::expected_colored_by(Rank r) const {
 
 void DetectorTreeBroadcast::begin(sim::Context& ctx) {
   for (Rank r = 1; r < tree_.num_procs(); ++r) {
-    ctx.set_timer(r, expected_colored_by(r) + config_.detection_slack, kDetectorTimer);
+    ctx.set_timer(r, expected_colored_by(r) + kDetectionSlack, kDetectorTimer);
   }
   ctx.set_rank_data(tree_.root(), payload_);
   color(ctx, tree_.root(), payload_);
@@ -74,7 +74,7 @@ void DetectorTreeBroadcast::climb(sim::Context& ctx, Rank me) {
     // its reply may simply still be in flight.
   }
   ctx.send(me, target, sim::tag::kPull, 0);
-  ctx.set_timer(me, ctx.now() + config_.pull_interval, kPullRetryTimer);
+  ctx.set_timer(me, ctx.now() + kPullInterval, kPullRetryTimer);
 }
 
 void DetectorTreeBroadcast::on_receive(sim::Context& ctx, Rank me, const Message& msg) {

@@ -24,18 +24,10 @@
 
 namespace ct::proto {
 
-struct DetectorConfig {
-  /// Extra waiting time beyond the fault-free schedule before a process
-  /// suspects a failure (the failure-detector timeout).
-  sim::Time detection_slack = 8;
-  /// Re-suspicion interval while climbing the ancestry during recovery.
-  sim::Time pull_interval = 12;
-};
-
 class DetectorTreeBroadcast final : public sim::Protocol {
  public:
   DetectorTreeBroadcast(const topo::Tree& tree, const sim::LogP& params,
-                        DetectorConfig config, std::int64_t payload = 0);
+                        std::int64_t payload = 0);
 
   void begin(sim::Context& ctx) override;
   void on_receive(sim::Context& ctx, topo::Rank me, const sim::Message& msg) override;
@@ -43,7 +35,7 @@ class DetectorTreeBroadcast final : public sim::Protocol {
   void on_timer(sim::Context& ctx, topo::Rank me, std::int64_t id) override;
 
   /// Worst-case fault-free coloring instant of rank r (per-level bound);
-  /// the detector fires detection_slack after it.
+  /// the detector fires a fixed slack after it.
   sim::Time expected_colored_by(topo::Rank r) const;
 
  private:
@@ -52,7 +44,6 @@ class DetectorTreeBroadcast final : public sim::Protocol {
 
   const topo::Tree& tree_;
   sim::LogP params_;
-  DetectorConfig config_;
   std::int64_t payload_;
 
   std::vector<char> started_;                   // did its tree sends

@@ -58,20 +58,8 @@ std::int64_t ChaosPlan::revive_after_ns(std::int64_t crash_epoch,
                               static_cast<std::uint64_t>(crash_epoch),
                               static_cast<std::uint64_t>(rank));
   if (unit(h) >= options_.revive_fraction) return -1;
-  std::int64_t delay = options_.revive_after_ns;
-  if (options_.revive_jitter_ns > 0) {
-    support::SplitMix64 when(h);
-    delay += static_cast<std::int64_t>(
-        when.next() % static_cast<std::uint64_t>(options_.revive_jitter_ns + 1));
-  }
+  const std::int64_t delay = options_.revive_after_ns;
   return delay > 0 ? delay : 0;
-}
-
-std::int64_t ChaosPlan::crash_send_budget(topo::Rank rank) const {
-  for (const auto& [r, sends] : kill_sends_) {
-    if (r == rank) return sends;
-  }
-  return -1;
 }
 
 ChaosPlan::Verdict ChaosPlan::classify(std::int64_t epoch, topo::Rank from,
@@ -91,11 +79,7 @@ ChaosPlan::Verdict ChaosPlan::classify(std::int64_t epoch, topo::Rank from,
     return verdict;
   }
   if (options_.delay_prob > 0.0 && unit(draw.next()) < options_.delay_prob) {
-    std::int64_t delay = options_.delay_ns;
-    if (options_.delay_jitter_ns > 0) {
-      delay += static_cast<std::int64_t>(
-          draw.next() % static_cast<std::uint64_t>(options_.delay_jitter_ns + 1));
-    }
+    const std::int64_t delay = options_.delay_ns;
     verdict.delay_ns = delay > 0 ? delay : 0;
   }
   return verdict;

@@ -36,18 +36,16 @@ struct ChaosOptions {
   double drop_prob = 0.0;
   double duplicate_prob = 0.0;
   double delay_prob = 0.0;
-  /// Base delay plus uniform jitter in [0, delay_jitter_ns].
+  /// Hold time of a delayed send.
   std::int64_t delay_ns = 200'000;
-  std::int64_t delay_jitter_ns = 0;
   /// Probability that a crashed rank is scheduled to revive (repair mode,
   /// DESIGN.md §4i). Drawn once per crash from the same pure-hash stream
   /// family as the crash schedule, keyed by the epoch the rank crashed in.
   double revive_fraction = 0.0;
   /// Wall-clock delay from the crash's detection (epoch seal) until the
-  /// rank is eligible to rejoin, plus uniform jitter in [0,
-  /// revive_jitter_ns]. 0 = eligible at the very next epoch boundary.
+  /// rank is eligible to rejoin. 0 = eligible at the very next epoch
+  /// boundary.
   std::int64_t revive_after_ns = 0;
-  std::int64_t revive_jitter_ns = 0;
 };
 
 class ChaosPlan {
@@ -63,12 +61,6 @@ class ChaosPlan {
     kill_ns_.emplace_back(rank, ns);
   }
 
-  /// Explicit override: rank crashes after completing `sends` sends in an
-  /// epoch (the step-count analogue of dies_at). -1-free: sends >= 0.
-  void kill_after_sends(topo::Rank rank, std::int64_t sends) {
-    kill_sends_.emplace_back(rank, sends);
-  }
-
   /// Explicit override: every crash of `rank` revives after `ns` wall-clock
   /// nanoseconds (the revive analogue of kill_at_ns, for deterministic
   /// recovery tests). ns < 0 pins the rank dead forever.
@@ -77,7 +69,7 @@ class ChaosPlan {
   }
 
   bool crashes_enabled() const noexcept {
-    return options_.crash_fraction > 0.0 || !kill_ns_.empty() || !kill_sends_.empty();
+    return options_.crash_fraction > 0.0 || !kill_ns_.empty();
   }
   bool revives_enabled() const noexcept {
     return options_.revive_fraction > 0.0 || !revive_ns_.empty();
@@ -92,9 +84,6 @@ class ChaosPlan {
   /// rank is not scheduled to crash this epoch. Explicit kill_at_ns
   /// overrides win over the sampled schedule.
   std::int64_t crash_ns(std::int64_t epoch, topo::Rank rank) const;
-
-  /// Send budget before a step-count crash; -1 = unlimited.
-  std::int64_t crash_send_budget(topo::Rank rank) const;
 
   /// Scheduled revive delay for a rank that crashed in `crash_epoch`, ns of
   /// wall clock from the crash's detection; -1 = the rank stays dead. Pure
@@ -116,7 +105,6 @@ class ChaosPlan {
  private:
   ChaosOptions options_;
   std::vector<std::pair<topo::Rank, std::int64_t>> kill_ns_;
-  std::vector<std::pair<topo::Rank, std::int64_t>> kill_sends_;
   std::vector<std::pair<topo::Rank, std::int64_t>> revive_ns_;
 };
 

@@ -73,9 +73,6 @@ struct EpochResult {
   std::int64_t messages_dropped = 0;
   std::int64_t messages_delayed = 0;
   std::int64_t messages_duplicated = 0;
-  /// Timers set by survivors that never fired before the epoch ended (a
-  /// timed-out correction phase leaves these behind).
-  std::int32_t timers_pending = 0;
   std::vector<topo::Rank> crashed_ranks;
   std::vector<topo::Rank> uncolored_survivors;
   /// Per-rank last-state, size P (filled for every epoch).
@@ -110,8 +107,7 @@ struct StreamOptions {
   /// is scheduled the moment a window slot frees up.
   double rate = 0.0;
   /// Per-epoch deadline, measured from the epoch's begin. A stuck epoch is
-  /// force-retired (timed_out) so the stream always terminates. Clamped by
-  /// EngineOptions::epoch_deadline like run_epoch's timeout.
+  /// force-retired (timed_out) so the stream always terminates.
   std::chrono::nanoseconds epoch_timeout = std::chrono::seconds(10);
   /// Record per-rank end states per epoch (parity tests); off for
   /// benchmarks — it is W·P extra copying per epoch.
@@ -163,11 +159,6 @@ struct EngineOptions {
   /// (staged retry) keeps any capacity correct, so small rings are safe.
   /// Must be >= 1 (the constructor rejects 0).
   std::size_t mesh_capacity = 1024;
-  /// Hard upper bound on any epoch's wall time; 0 = none. Combined with the
-  /// per-call run_epoch timeout (the smaller positive bound wins), so chaos
-  /// soaks always terminate: on expiry the engine force-quiesces and the
-  /// EpochResult carries the degradation diagnostics instead of hanging.
-  std::chrono::nanoseconds epoch_deadline{0};
   /// Self-healing membership (DESIGN.md §4i). Chaos crashes become
   /// *persistent*: a rank killed mid-epoch stays dead across epochs until
   /// revived, and the caller repairs the membership at epoch boundaries via
@@ -190,12 +181,15 @@ class Engine {
 
   topo::Rank num_procs() const noexcept { return num_procs_; }
   topo::Rank live_count() const noexcept { return live_count_; }
-  const EngineOptions& options() const noexcept { return options_; }
   /// Worker (shard) threads the executor runs.
   std::size_t worker_threads() const noexcept;
 
   /// Executes one epoch of `protocol` (freshly constructed by the caller)
-  /// and returns its timing. Serializes epochs internally.
+  /// and returns its timing. Serializes epochs internally. `timeout` is the
+  /// epoch's only deadline (<= 0 = none): an epoch still running when it
+  /// expires is force-retired, and the EpochResult is its degradation
+  /// report (timed_out, uncolored survivors, crashed ranks, gap structure)
+  /// instead of a hang.
   EpochResult run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout);
 
   /// Runs a windowed epoch stream (see StreamOptions). Serializes with

@@ -31,18 +31,6 @@ constexpr std::chrono::microseconds kIdleWait{50};
 /// slot and credits its empty slice.
 constexpr std::chrono::milliseconds kEmptySliceWait{5};
 
-/// The smaller positive bound of a per-call timeout and the engine-wide
-/// epoch deadline, in ns; 0 = none.
-std::int64_t bounded_timeout(std::chrono::nanoseconds timeout,
-                             std::chrono::nanoseconds deadline) {
-  std::int64_t timeout_ns = timeout.count();
-  const std::int64_t deadline_ns = deadline.count();
-  if (deadline_ns > 0 && (timeout_ns <= 0 || deadline_ns < timeout_ns)) {
-    timeout_ns = deadline_ns;
-  }
-  return timeout_ns;
-}
-
 /// Ranks per shard: [0, P) is carved into contiguous slices of
 /// ceil(P / workers) ranks.
 std::size_t shard_chunk(Rank num_procs, const EngineOptions& options) {
@@ -109,8 +97,7 @@ class Engine::Sharded final : private Stepper::Driver {
     return result;
   }
 
-  StreamResult run_stream(const ProtocolFactory& factory, const StreamOptions& options,
-                          std::int64_t timeout_ns);
+  StreamResult run_stream(const ProtocolFactory& factory, const StreamOptions& options);
 
   std::size_t worker_threads() const noexcept { return threads_.size(); }
 
@@ -424,10 +411,9 @@ class Engine::Sharded final : private Stepper::Driver {
 /// (base+i) mod W, matching the slot Stepper::land picks for its mail. Deadlines
 /// are enforced by the workers, as for one-shot epochs.
 StreamResult Engine::Sharded::run_stream(const ProtocolFactory& factory,
-                                         const StreamOptions& options,
-                                         std::int64_t timeout_ns) {
+                                         const StreamOptions& options) {
   open_window(static_cast<std::size_t>(options.window), /*one_shot=*/false);
-  stream_timeout_ns_ = timeout_ns;
+  stream_timeout_ns_ = options.epoch_timeout.count();
   keep_rank_state_ = options.keep_rank_state;
   stream_generation_ = 0;
   stream_repairs_ = 0;
@@ -519,7 +505,7 @@ StreamResult Engine::Sharded::run_stream(const ProtocolFactory& factory,
 }
 
 // ---------------------------------------------------------------------------
-// Engine facade: validation, membership bookkeeping, timeout resolution.
+// Engine facade: validation and membership bookkeeping.
 // ---------------------------------------------------------------------------
 
 Engine::Engine(Rank num_procs, std::vector<char> failed, EngineOptions options)
@@ -599,8 +585,7 @@ bool Engine::repair_membership(const std::vector<topo::Rank>& newly_dead,
 }
 
 EpochResult Engine::run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout) {
-  return sharded_->run_epoch(protocol, dead_, generation_,
-                             bounded_timeout(timeout, options_.epoch_deadline));
+  return sharded_->run_epoch(protocol, dead_, generation_, timeout.count());
 }
 
 StreamResult Engine::run_stream(const ProtocolFactory& factory,
@@ -611,8 +596,7 @@ StreamResult Engine::run_stream(const ProtocolFactory& factory,
     throw std::invalid_argument("run_stream: window must be in [1, 64]");
   }
   if (options.rate < 0.0) throw std::invalid_argument("run_stream: rate must be >= 0");
-  return sharded_->run_stream(factory, options,
-                              bounded_timeout(options.epoch_timeout, options_.epoch_deadline));
+  return sharded_->run_stream(factory, options);
 }
 
 }  // namespace ct::rt

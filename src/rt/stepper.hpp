@@ -95,7 +95,6 @@ class Stepper {
     std::int64_t rank_data = 0;
     std::int64_t completion_ns = -1;
     std::int64_t crash_at_ns = -1;
-    std::int64_t crash_budget = -1;
     topo::Rank rank = 0;     // identity: v = slot·P + rank
     std::uint8_t slot = 0;
     char colored = 0;
@@ -369,7 +368,6 @@ class Stepper {
         } else if (crash_active_) {
           const std::int64_t at = chaos_->crash_ns(slot.epoch, r);
           core.crash_at_ns = at >= 0 ? slot.begin_ns + at : -1;
-          core.crash_budget = chaos_->crash_send_budget(r);
         }
       }
     }
@@ -505,8 +503,8 @@ class Stepper {
   std::int64_t sends(std::size_t v) const noexcept { return core_[v].sends; }
 
   /// Adds ranks [lo, hi) of `slot` to `result`: end states (rank_state is
-  /// sized P), sends, completion times, pending timers and link-chaos
-  /// tallies. summarize_ranks finishes the result.
+  /// sized P), sends, completion times and link-chaos tallies.
+  /// summarize_ranks finishes the result.
   void collect(const Slot& slot, topo::Rank lo, topo::Rank hi, EpochResult& result) const {
     result.rank_state.resize(static_cast<std::size_t>(num_procs_));
     result.rank_completion_ns.reserve(static_cast<std::size_t>(hi - lo));
@@ -523,10 +521,6 @@ class Stepper {
       result.total_messages += core.sends;
       result.rank_completion_ns.push_back(core.completion_ns);
       result.completion_ns = std::max(result.completion_ns, core.completion_ns);
-      if (end == RankEnd::kCrashed) continue;
-      for (const Timer& timer : timers_[v]) {
-        if (!timer.fired) ++result.timers_pending;
-      }
     }
     if (!link_active_) return;
     for (std::size_t v = slot.base + static_cast<std::size_t>(lo);
@@ -591,12 +585,6 @@ class Stepper {
       const std::size_t limit = outbox.size() + kMaxChainedSends;
       std::size_t i = 0;
       for (; i < outbox.size() && i < limit; ++i) {
-        if (crash_active_ && core_[v].crash_budget >= 0 &&
-            core_[v].sends >= core_[v].crash_budget) {
-          // Step-count crash: the unsent outbox tail dies with the rank.
-          crash_rank(shard, v);
-          return true;
-        }
         ++core_[v].sends;
         // Delivery reads the envelope in place — deliver/deliver_chaos never
         // touch this rank's outbox. Only on_sent can grow (and reallocate)
@@ -676,7 +664,7 @@ class Stepper {
       if (slots_[core_[v].slot].state.load(std::memory_order_acquire) != kSlotActive) {
         continue;
       }
-      if (core_[v].crashed) continue;  // a send-budget crash already took it
+      if (core_[v].crashed) continue;  // step_rank already crashed it
       if (pass_now >= core_[v].crash_at_ns) {
         crash_rank(shard, v);
         any = true;

@@ -1,9 +1,9 @@
 #pragma once
 // Pluggable cross-shard transport seam (DESIGN.md §4j). The runtime's one
 // rank stepper (stepper.hpp) stages outgoing envelopes per destination
-// during a scheduling pass and moves them — plus parking, wakeup and the
-// has-mail poll — through this interface, so the code above it exists once
-// for both transports that implement it:
+// during a scheduling pass and moves them — plus parking and wakeup —
+// through this interface, so the code above it exists once for both
+// transports that implement it:
 //
 //  * MeshTransport (transport_mem.hpp) — the lock-free SPSC ring mesh with
 //    per-shard mail masks and Doorbell parking, under the in-process Engine.
@@ -24,7 +24,7 @@
 //    so per-sender FIFO and the chained-send/deadline behavior of the
 //    engine are transport-independent.
 //  * poll_into drains everything currently pending for `to` and returns
-//    the count; has_mail is the cheap park predicate.
+//    the count.
 //  * park blocks the owner of `to` until mail, a kick, or the timeout;
 //    kick wakes it unconditionally (epoch end, shutdown).
 //  * flush lets a transport with deferred work (datagram packing,
@@ -72,9 +72,6 @@ class Transport {
   /// Consumer side: deliver every envelope currently pending for shard
   /// `to` through `sink` (FIFO per producer) and return the count.
   virtual std::size_t poll_into(std::size_t to, const EnvelopeSink& sink) = 0;
-
-  /// Consumer-side park predicate: may shard `to` have pending mail?
-  virtual bool has_mail(std::size_t to) const = 0;
 
   /// Blocks the owner of shard `to` until mail arrives, a kick fires, or
   /// `timeout` elapses. Must tolerate spurious wakeups.

@@ -24,12 +24,14 @@ class MeshTransport final : public Transport {
   std::size_t send_batch(std::size_t from, std::size_t to, const Envelope* data,
                          std::size_t n) override;
   std::size_t poll_into(std::size_t to, const EnvelopeSink& sink) override;
-  bool has_mail(std::size_t to) const override;
   void park(std::size_t to, std::chrono::nanoseconds timeout) override;
   void kick(std::size_t to) override;
   void clear() override;
 
  private:
+  /// Park predicate: may shard `to` have pending mail?
+  bool has_mail(std::size_t to) const;
+
   /// Per-shard consumer endpoint. Holds atomics, so it lives in a deque and
   /// never moves. mail_mask bit (from mod 64) of word (from div 64) means
   /// ring (from → this shard) may hold mail; producers set it after the

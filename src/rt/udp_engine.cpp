@@ -1,13 +1,10 @@
 #include "rt/udp_engine.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CT_RT_HAVE_UDP 1
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -38,8 +35,6 @@ constexpr std::int64_t kWatchdogGraceNs = 500'000'000;
 /// Idle park of a worker pass. UdpTransport::park wakes on a datagram and at
 /// the next retransmit deadline, so a shorter slice only adds wakeups.
 constexpr std::chrono::microseconds kIdlePark{500};
-
-#if CT_RT_HAVE_UDP
 
 struct SliceHead {
   std::int64_t lo = 0;
@@ -400,27 +395,19 @@ int open_loopback_socket(int port, std::uint16_t& bound_port, std::string& error
   return fd;
 }
 
-#endif  // CT_RT_HAVE_UDP
-
 }  // namespace
 
 bool udp_loopback_available(std::string& error) {
-#if CT_RT_HAVE_UDP
   std::uint16_t port = 0;
   const int fd = open_loopback_socket(0, port, error);
   if (fd < 0) return false;
   ::close(fd);
   return true;
-#else
-  error = "rt-udp requires POSIX sockets";
-  return false;
-#endif
 }
 
 UdpRunResult measure_broadcast_udp(const UdpEngineOptions& options,
                                    const ProtocolFactory& factory) {
   UdpRunResult result;
-#if CT_RT_HAVE_UDP
   const auto p = static_cast<std::size_t>(options.num_procs);
   if (options.num_procs < 1 || options.failed.size() != p || options.failed[0]) {
     result.error = "invalid rt-udp configuration (need P >= 1, rank 0 live)";
@@ -500,12 +487,6 @@ UdpRunResult measure_broadcast_udp(const UdpEngineOptions& options,
     merged.messages_duplicated += report.link.chaos_duplicated;
   }
   return result;
-#else
-  static_cast<void>(options);
-  static_cast<void>(factory);
-  result.error = "rt-udp requires POSIX sockets";
-  return result;
-#endif
 }
 
 }  // namespace ct::rt

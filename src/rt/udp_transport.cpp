@@ -1,12 +1,9 @@
 #include "rt/udp_transport.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CT_RT_HAVE_UDP 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#endif
 
 #include <algorithm>
 #include <cstddef>
@@ -14,6 +11,10 @@
 namespace ct::rt {
 
 namespace {
+
+/// First retransmit of an unacked datagram, doubled per retry up to the cap.
+constexpr std::int64_t kRetransmitBaseNs = 2'000'000;
+constexpr std::int64_t kRetransmitCapNs = 100'000'000;
 
 /// Refreshes the piggybacked ack fields of an already-framed datagram in
 /// place — retransmitted frames must carry the *current* receive state, or
@@ -64,7 +65,6 @@ void UdpTransport::apply_acks(Peer& peer, std::uint32_t ack_cum,
 
 std::size_t UdpTransport::poll_into(std::size_t to, const EnvelopeSink& sink) {
   static_cast<void>(to);
-#if CT_RT_HAVE_UDP
   std::size_t delivered = 0;
   for (;;) {
     std::uint8_t buffer[kMaxDatagramBytes];
@@ -104,27 +104,10 @@ std::size_t UdpTransport::poll_into(std::size_t to, const EnvelopeSink& sink) {
     }
   }
   return delivered;
-#else
-  static_cast<void>(sink);
-  return 0;
-#endif
-}
-
-bool UdpTransport::has_mail(std::size_t to) const {
-  static_cast<void>(to);
-#if CT_RT_HAVE_UDP
-  struct pollfd pfd {};
-  pfd.fd = options_.fd;
-  pfd.events = POLLIN;
-  return ::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN) != 0;
-#else
-  return false;
-#endif
 }
 
 void UdpTransport::park(std::size_t to, std::chrono::nanoseconds timeout) {
   static_cast<void>(to);
-#if CT_RT_HAVE_UDP
   std::int64_t wait_ns = timeout.count();
   const std::int64_t deadline = next_deadline_ns();
   if (deadline >= 0) {
@@ -137,9 +120,6 @@ void UdpTransport::park(std::size_t to, std::chrono::nanoseconds timeout) {
   pfd.fd = options_.fd;
   pfd.events = POLLIN;
   ::poll(&pfd, 1, wait_ms);
-#else
-  static_cast<void>(timeout);
-#endif
 }
 
 std::int64_t UdpTransport::next_deadline_ns() const {
@@ -180,7 +160,7 @@ void UdpTransport::pack_staged(Peer& peer, std::size_t peer_index,
     Unacked unacked;
     unacked.seq = header.seq;
     unacked.frame.assign(scratch_, scratch_ + len);
-    unacked.backoff_ns = options_.retransmit_base_ns;
+    unacked.backoff_ns = kRetransmitBaseNs;
     unacked.next_retx_ns = now + unacked.backoff_ns;
     peer.window.push_back(std::move(unacked));
     transmit(peer_index, scratch_, len, now);
@@ -215,8 +195,7 @@ void UdpTransport::flush(std::size_t from) {
       peer.ack_due = false;
       transmit(peer_index, unacked.frame.data(), unacked.frame.size(), now);
       ++retransmits_;
-      unacked.backoff_ns =
-          std::min(unacked.backoff_ns * 2, options_.retransmit_cap_ns);
+      unacked.backoff_ns = std::min(unacked.backoff_ns * 2, kRetransmitCapNs);
       unacked.next_retx_ns = now + unacked.backoff_ns;
     }
     if (peer.ack_due) {
@@ -266,7 +245,6 @@ void UdpTransport::transmit(std::size_t peer_index, const std::uint8_t* data,
 
 void UdpTransport::send_raw(std::size_t peer_index, const std::uint8_t* data,
                             std::size_t len) {
-#if CT_RT_HAVE_UDP
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.peer_ports[peer_index]);
@@ -276,11 +254,6 @@ void UdpTransport::send_raw(std::size_t peer_index, const std::uint8_t* data,
   ::sendto(options_.fd, data, len, 0, reinterpret_cast<const sockaddr*>(&addr),
            sizeof(addr));
   ++datagrams_sent_;
-#else
-  static_cast<void>(peer_index);
-  static_cast<void>(data);
-  static_cast<void>(len);
-#endif
 }
 
 bool UdpTransport::idle() const {

@@ -76,8 +76,6 @@ class UdpTransport final : public Transport {
     std::size_t self = 0; ///< this process's peer index
     /// Loopback port per peer index (self's entry is its own bound port).
     std::vector<std::uint16_t> peer_ports;
-    std::int64_t retransmit_base_ns = 2'000'000;   ///< first retry after 2 ms
-    std::int64_t retransmit_cap_ns = 100'000'000;  ///< backoff ceiling 100 ms
     /// Max unacked data datagrams per peer. Must stay <= 64: the selective
     /// ack bitmap spans ack_cum+1 .. ack_cum+64, and window <= 64 is what
     /// guarantees an in-flight seq is always representable in it.
@@ -95,7 +93,6 @@ class UdpTransport final : public Transport {
   /// Receives every datagram currently queued on the socket, processes
   /// acks, dedups, and delivers fresh data envelopes through `sink`.
   std::size_t poll_into(std::size_t to, const EnvelopeSink& sink) override;
-  bool has_mail(std::size_t to) const override;
   /// Parks on the socket via poll(2); the timeout is clamped to the next
   /// retransmit/chaos-release deadline so reliability work never oversleeps.
   void park(std::size_t to, std::chrono::nanoseconds timeout) override;

@@ -1,6 +1,5 @@
 #include "support/pipe_io.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -84,5 +83,3 @@ std::size_t fork_workers(std::size_t n, const std::function<bool(std::size_t, in
 }
 
 }  // namespace ct::support
-
-#endif

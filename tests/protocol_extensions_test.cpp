@@ -295,7 +295,7 @@ TEST(DetectorBaseline, FaultFreeBehavesLikePlainTree) {
   const Rank procs = 128;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   const sim::LogP params{2, 1, 1, procs};
-  proto::DetectorTreeBroadcast broadcast(tree, params, {}, 7);
+  proto::DetectorTreeBroadcast broadcast(tree, params, 7);
   sim::Simulator simulator(params, sim::FaultSet::none(procs));
   const sim::RunResult result = simulator.run(broadcast);
   EXPECT_TRUE(result.fully_colored());
@@ -308,7 +308,7 @@ TEST(DetectorBaseline, RecoversFromFailuresViaPulls) {
   const sim::LogP params{2, 1, 1, procs};
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     support::Xoshiro256ss rng(seed);
-    proto::DetectorTreeBroadcast broadcast(tree, params, {}, 7);
+    proto::DetectorTreeBroadcast broadcast(tree, params, 7);
     sim::Simulator simulator(params, sim::FaultSet::random_count(procs, 8, rng));
     sim::RunOptions options;
     options.keep_per_rank_detail = true;
@@ -330,7 +330,7 @@ TEST(DetectorBaseline, PaysDetectionLatencyThatCorrectedTreesAvoid) {
   const sim::LogP params{2, 1, 1, procs};
   const sim::FaultSet faults = sim::FaultSet::from_list(procs, {1});
 
-  proto::DetectorTreeBroadcast detector(tree, params, {}, 0);
+  proto::DetectorTreeBroadcast detector(tree, params, 0);
   sim::Simulator detector_sim(params, faults);
   const sim::RunResult detector_result = detector_sim.run(detector);
 

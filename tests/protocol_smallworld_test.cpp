@@ -134,7 +134,7 @@ TEST(SmallWorld, BaselinesOnTinyTrees) {
     const topo::Tree tree = topo::make_binomial_interleaved(procs);
     const sim::LogP params{2, 1, 1, procs};
     {
-      DetectorTreeBroadcast detector(tree, params, {});
+      DetectorTreeBroadcast detector(tree, params);
       sim::Simulator simulator(params, sim::FaultSet::none(procs));
       EXPECT_TRUE(simulator.run(detector).fully_colored()) << "P=" << procs;
     }

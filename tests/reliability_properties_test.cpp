@@ -142,8 +142,7 @@ std::vector<Case> protocol_matrix() {
       {"detector-tree",
        [](const topo::Tree& tree, const sim::LogP& params, std::int64_t payload,
           std::uint64_t) -> std::unique_ptr<sim::Protocol> {
-         return std::make_unique<proto::DetectorTreeBroadcast>(
-             tree, params, proto::DetectorConfig{}, payload);
+         return std::make_unique<proto::DetectorTreeBroadcast>(tree, params, payload);
        },
        true});
   return cases;

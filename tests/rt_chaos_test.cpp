@@ -109,11 +109,6 @@ TEST(ChaosPlan, EnablementReflectsOptions) {
   EXPECT_EQ(overrides.crash_ns(1, 3), 100);
   EXPECT_EQ(overrides.crash_ns(7, 3), 100);  // overrides apply every epoch
   EXPECT_EQ(overrides.crash_ns(1, 4), -1);
-  ChaosPlan budget;
-  budget.kill_after_sends(5, 2);
-  EXPECT_TRUE(budget.crashes_enabled());
-  EXPECT_EQ(budget.crash_send_budget(5), 2);
-  EXPECT_EQ(budget.crash_send_budget(6), -1);
 }
 
 /// `bcast:binomial:<kind>:overlapped@P=<procs>`, distance 4 where the kind
@@ -287,37 +282,16 @@ TEST(ChaosEngine, MidEpochCrashesTerminateUnderBothExecutors) {
   EXPECT_GT(crashes, 0);
 }
 
-TEST(ChaosEngine, SendBudgetCrashKillsRankMidSend) {
-  const Rank procs = 32;
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  EngineOptions options;
-  options.workers = 4;
-  Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
-                options);
-  ChaosPlan plan;
-  const Rank victim = 1;  // an inner tree rank with several children
-  plan.kill_after_sends(victim, 1);
-  engine.set_chaos(std::move(plan));
-  proto::CorrectedTreeBroadcast protocol(
-      tree, make_correction(proto::CorrectionKind::kChecked));
-  const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
-  ASSERT_FALSE(result.timed_out);
-  EXPECT_EQ(result.uncolored_live, 0);
-  ASSERT_EQ(result.crashed_ranks, std::vector<Rank>{victim});
-  EXPECT_EQ(result.rank_state[static_cast<std::size_t>(victim)], RankEnd::kCrashed);
-}
-
 TEST(ChaosEngine, DeadlineExpiryYieldsDegradationReportNotAHang) {
   const Rank procs = 64;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   EngineOptions options;
   options.workers = 4;
-  options.epoch_deadline = std::chrono::milliseconds(100);
   Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
                 options);
   // Kill the root's first child before it forwards anything and run with
   // no correction: its subtree can never be colored, so the epoch *must*
-  // end at the deadline with an explanation.
+  // end at its timeout with an explanation.
   ChaosPlan plan;
   const Rank victim = tree.children(0)[0];
   plan.kill_at_ns(victim, 0);
@@ -325,11 +299,11 @@ TEST(ChaosEngine, DeadlineExpiryYieldsDegradationReportNotAHang) {
   const auto start = Clock::now();
   proto::CorrectedTreeBroadcast protocol(
       tree, make_correction(proto::CorrectionKind::kNone));
-  const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
+  const EpochResult result = engine.run_epoch(protocol, std::chrono::milliseconds(100));
   const auto elapsed = Clock::now() - start;
   EXPECT_TRUE(result.timed_out);
   EXPECT_TRUE(result.degraded());
-  EXPECT_LT(elapsed, std::chrono::seconds(10));  // deadline, not the timeout
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
   EXPECT_GT(result.uncolored_live, 0);
   EXPECT_EQ(result.uncolored_survivors.size(),
             static_cast<std::size_t>(result.uncolored_live));
@@ -378,7 +352,6 @@ TEST(ChaosEngine, DelayAndDuplicateAccounting) {
   chaos.seed = 0xD1Ceu;
   chaos.delay_prob = 0.10;
   chaos.delay_ns = 100'000;
-  chaos.delay_jitter_ns = 50'000;
   chaos.duplicate_prob = 0.10;
   engine.set_chaos(ChaosPlan(chaos));
   std::int64_t delayed = 0;

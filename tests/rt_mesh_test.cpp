@@ -204,7 +204,6 @@ TEST(MeshEngine, CrashedRankMailIsDiscardedUnderChaos) {
   EngineOptions options;
   options.workers = 4;
   options.mesh_capacity = 4;
-  options.epoch_deadline = std::chrono::seconds(5);
   Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
                 options);
   ChaosOptions chaos;
@@ -218,7 +217,7 @@ TEST(MeshEngine, CrashedRankMailIsDiscardedUnderChaos) {
   for (int epoch = 0; epoch < 12; ++epoch) {
     proto::CorrectedTreeBroadcast protocol(
         tree, make_correction(proto::CorrectionKind::kChecked));
-    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(30));
+    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(5));
     ASSERT_FALSE(result.timed_out) << "epoch " << epoch;
     EXPECT_EQ(result.uncolored_live, 0) << "epoch " << epoch;
     ASSERT_EQ(result.crashed_mid_epoch,
@@ -240,19 +239,19 @@ TEST(MeshEngine, ShutdownAndEpochResetWithNonEmptyRings) {
   EngineOptions options;
   options.workers = 4;
   options.mesh_capacity = 2;
-  options.epoch_deadline = std::chrono::milliseconds(100);
   Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
                 options);
+  const auto timeout = std::chrono::milliseconds(100);
   ChaosPlan plan;
   const Rank victim = tree.children(0)[0];
   plan.kill_at_ns(victim, 0);
   engine.set_chaos(std::move(plan));
   {
     // No correction + a dead first child: the subtree is unreachable, so
-    // the epoch must end at the deadline with traffic still queued.
+    // the epoch must end at its timeout with traffic still queued.
     proto::CorrectedTreeBroadcast protocol(
         tree, make_correction(proto::CorrectionKind::kNone));
-    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
+    const EpochResult result = engine.run_epoch(protocol, timeout);
     ASSERT_TRUE(result.timed_out);
     EXPECT_GT(result.uncolored_live, 0);
   }
@@ -262,7 +261,7 @@ TEST(MeshEngine, ShutdownAndEpochResetWithNonEmptyRings) {
     // color or a sanitizer report.
     proto::CorrectedTreeBroadcast protocol(
         tree, make_correction(proto::CorrectionKind::kChecked));
-    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
+    const EpochResult result = engine.run_epoch(protocol, timeout);
     ASSERT_FALSE(result.timed_out);
     EXPECT_EQ(result.uncolored_live, 0);
     EXPECT_EQ(result.crashed_ranks, std::vector<Rank>{victim});
@@ -271,7 +270,7 @@ TEST(MeshEngine, ShutdownAndEpochResetWithNonEmptyRings) {
     // Leave the engine dirty again right before destruction.
     proto::CorrectedTreeBroadcast protocol(
         tree, make_correction(proto::CorrectionKind::kNone));
-    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
+    const EpochResult result = engine.run_epoch(protocol, timeout);
     ASSERT_TRUE(result.timed_out);
   }
 }

@@ -213,6 +213,51 @@ TEST(RtStream, StreamThenOneShotEpochStaysClean) {
   EXPECT_EQ(epoch.uncolored_live, 0);
 }
 
+TEST(RtStream, StuckEpochsRetireAtTheirTimeout) {
+  // StreamOptions::epoch_timeout is a stream's only deadline. With no
+  // correction and the root's first child dead before it forwards, no
+  // epoch can complete: each must be force-retired at its timeout while
+  // the window keeps admitting.
+  const Rank procs = 32;
+  const topo::Tree tree = topo::make_binomial_interleaved(procs);
+  Engine engine(procs, no_failures(procs), EngineOptions{.workers = 4});
+  ChaosPlan plan;
+  plan.kill_at_ns(tree.children(0)[0], 0);
+  engine.set_chaos(std::move(plan));
+  proto::CorrectionConfig none;
+  none.kind = proto::CorrectionKind::kNone;
+  StreamOptions options;
+  options.epochs = 6;
+  options.window = 3;
+  options.epoch_timeout = std::chrono::milliseconds(50);
+  const auto start = Clock::now();
+  const StreamHarnessResult stuck =
+      measure_stream(engine, tree_factory(tree, none), options);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ(stuck.timeouts, 6);
+  for (const StreamEpoch& epoch : stuck.raw.epochs) {
+    EXPECT_TRUE(epoch.timed_out) << "epoch " << epoch.epoch;
+    EXPECT_GT(epoch.uncolored, 0) << "epoch " << epoch.epoch;
+    EXPECT_EQ(epoch.crashed, 1) << "epoch " << epoch.epoch;
+  }
+
+  // The same slots after timed-out seals: checked correction bridges the
+  // dead subtree, so every epoch must retire clean.
+  proto::CorrectionConfig checked;
+  checked.kind = proto::CorrectionKind::kChecked;
+  checked.start = proto::CorrectionStart::kOverlapped;
+  options.epoch_timeout = std::chrono::seconds(20);
+  const StreamHarnessResult clean =
+      measure_stream(engine, tree_factory(tree, checked), options);
+  EXPECT_EQ(clean.timeouts, 0);
+  EXPECT_EQ(clean.incomplete, 0);
+  for (const StreamEpoch& epoch : clean.raw.epochs) {
+    EXPECT_FALSE(epoch.timed_out) << "epoch " << epoch.epoch;
+    EXPECT_EQ(epoch.uncolored, 0) << "epoch " << epoch.epoch;
+    EXPECT_EQ(epoch.crashed, 1) << "epoch " << epoch.epoch;
+  }
+}
+
 TEST(RtStream, MidStreamKillsMatchSimSurvivorColoring) {
   const Rank procs = 18;
   const std::vector<Rank> victims = {5, 9};

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -24,20 +29,10 @@
 #include "support/rng.hpp"
 #include "topology/factory.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CT_TEST_HAVE_UDP 1
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 namespace ct::rt {
 namespace {
 
 using topo::Rank;
-
-#if CT_TEST_HAVE_UDP
 
 /// A nonblocking UDP socket bound to a kernel-assigned loopback port.
 struct BoundSocket {
@@ -209,8 +204,6 @@ TEST(UdpTransport, WindowBoundsInFlightDatagrams) {
   EXPECT_EQ(seen.size() + rest.size(), static_cast<std::size_t>(kCount));
   EXPECT_TRUE(pair.a->idle());
 }
-
-#endif  // CT_TEST_HAVE_UDP
 
 // --- engine level ------------------------------------------------------------
 
