@@ -9,10 +9,9 @@
 // standing in for the platform implementation; "Binomial (ours)" is the
 // same algorithm via the full corrected-tree stack with correction disabled
 // (d = 0), exactly the paper's pairing. The stack rows are RunSpec cells
-// (DESIGN.md §4e) — each cell's spec string is printed by
-// `bench_report --list` and reproducible with ct_sim --spec; only the
-// native baseline drives the harness directly (it is a bench-local
-// protocol, deliberately outside the library).
+// (DESIGN.md §4e) — each cell's spec string is built below and reproducible
+// with ct_sim --spec; only the native baseline drives the harness directly
+// (it is a bench-local protocol, deliberately outside the library).
 // Paper shape: both binomial variants are close (ours slightly slower from
 // stack generality); gossip is consistently the slowest.
 

@@ -181,15 +181,10 @@ void parse_executor(const std::string& text, RunSpec& spec) {
       bad_spec("unknown executor option '" + tokens[i] + "'");
     }
   }
+  // The remaining cross-checks (':mesh-cap' on rt-sharded only, ':port-base'
+  // and ':procs' on rt-udp only) are validate()'s; every caller validates.
   if (spec.executor == Executor::kSim && spec.workers > 0) {
     bad_spec("exec=sim takes no ':w=' worker count (pass a ThreadPool to run())");
-  }
-  if (spec.executor != Executor::kRtSharded && spec.rt_mesh_capacity > 0) {
-    bad_spec("executor option ':mesh-cap' applies to exec=rt-sharded only");
-  }
-  if (spec.executor != Executor::kRtUdp &&
-      (spec.rt_port_base > 0 || spec.rt_procs > 0)) {
-    bad_spec("executor options ':port-base', ':procs' apply to exec=rt-udp only");
   }
   if (spec.executor == Executor::kRtUdp && spec.workers > 0) {
     bad_spec("exec=rt-udp counts worker *processes* via ':procs=', not ':w='");
@@ -480,10 +475,10 @@ void RunSpec::validate() const {
   }
   // The sim derives a synchronized start from the LogP model; the runtimes
   // have no model clock to derive it from.
-  if (executor != Executor::kSim && protocol == ProtocolKind::kCorrectedTree &&
-      correction.kind != proto::CorrectionKind::kNone &&
-      correction.start == proto::CorrectionStart::kSynchronized &&
-      correction.sync_time <= 0) {
+  const bool synchronized = protocol == ProtocolKind::kCorrectedTree &&
+                            correction.kind != proto::CorrectionKind::kNone &&
+                            correction.start == proto::CorrectionStart::kSynchronized;
+  if (executor != Executor::kSim && synchronized && correction.sync_time <= 0) {
     bad_spec("synchronized correction on a runtime needs an explicit sync=<ns> > 0; "
              "use :overlapped or set sync=");
   }
@@ -515,6 +510,12 @@ void RunSpec::validate() const {
     if (collective != Collective::kBroadcast || protocol == ProtocolKind::kGossip) {
       bad_spec("chunk= needs a tree broadcast (bcast, proto tree|ack)");
     }
+    // The sim runs a chunked spec as a stream (run()), on one clock.
+    if (executor == Executor::kSim && synchronized) {
+      bad_spec("synchronized correction with chunk= on exec=sim: the chunked "
+               "epochs share one clock, so every later epoch starts past the "
+               "sync instant; use :overlapped");
+    }
     if (chunk_count() > proto::CorrectedTreeBroadcast::kMaxChunks) {
       bad_spec("bytes/chunk yields " + std::to_string(chunk_count()) +
                " chunks; the protocols support at most " +
@@ -527,6 +528,11 @@ void RunSpec::validate() const {
     }
     if (executor == Executor::kRtUdp) {
       bad_spec("streaming needs the windowed executor: exec=rt-sharded or exec=sim");
+    }
+    if (synchronized) {
+      bad_spec("synchronized correction on a stream (window/rate): the epochs "
+               "share one clock, so every later epoch starts past the sync "
+               "instant; use :overlapped");
     }
     if (executor == Executor::kSim &&
         (faults.crash_fraction > 0.0 || faults.drop_prob > 0.0 ||
@@ -596,7 +602,6 @@ void fill_latency(RunRecord& record, const support::Samples& samples) {
   if (samples.empty()) return;
   record.latency_p50 = samples.percentile(0.5);
   record.latency_p99 = samples.percentile(0.99);
-  record.latency_p999 = samples.percentile(0.999);
   record.latency_mean = samples.mean();
 }
 
@@ -616,7 +621,6 @@ RunRecord make_record(const RunSpec& spec) {
   RunRecord record;
   record.spec = spec.to_string();
   record.executor = executor_name(spec.executor);
-  record.procs = spec.params.P;
   return record;
 }
 
@@ -676,7 +680,7 @@ RunRecord run_sim_broadcast(const RunSpec& spec, const support::ThreadPool* pool
   const auto start = Clock::now();
   record.aggregate = run_replicated(scenario, static_cast<std::size_t>(spec.reps),
                                     spec.seed, pool);
-  record.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  const double wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
 
   record.runs = record.aggregate.runs;
   fill_latency(record, record.aggregate.quiescence_latency);
@@ -684,8 +688,7 @@ RunRecord run_sim_broadcast(const RunSpec& spec, const support::ThreadPool* pool
   const double total_messages = record.messages_per_process *
                                 static_cast<double>(spec.params.P) *
                                 static_cast<double>(record.runs);
-  record.messages_per_sec =
-      record.wall_seconds > 0.0 ? total_messages / record.wall_seconds : 0.0;
+  record.messages_per_sec = wall_seconds > 0.0 ? total_messages / wall_seconds : 0.0;
   record.incomplete = record.aggregate.not_fully_colored;
   fill_crash_report(record, scenario, spec.seed, /*per_rep=*/true);
   return record;
@@ -695,9 +698,7 @@ RunRecord run_sim_broadcast(const RunSpec& spec, const support::ThreadPool* pool
 /// epochs, multiplexed by proto::StreamMux so up to `window` are in flight.
 /// Latencies are per-epoch sojourn times in model ticks; the open-loop
 /// arrival process uses the 1 tick ≙ 1 µs convention (rate in epochs/s →
-/// interval 1e6/rate ticks), and the achieved/delivery rates are model-time
-/// rates under the same convention — directly comparable shape-wise, not
-/// magnitude-wise, to the rt wall-clock rates.
+/// interval 1e6/rate ticks).
 RunRecord run_sim_stream(const RunSpec& spec) {
   Scenario scenario = spec.to_scenario();
   scenario.mid_run_deaths = sim_chaos_victims(spec);  // kill= only (validated)
@@ -719,12 +720,8 @@ RunRecord run_sim_stream(const RunSpec& spec) {
   mux_options.interval =
       spec.rate > 0.0 ? std::max<sim::Time>(1, std::llround(1e6 / spec.rate)) : 0;
   mux_options.excluded.assign(static_cast<std::size_t>(spec.params.P), 0);
-  topo::Rank excluded_count = 0;
   for (topo::Rank r = 0; r < spec.params.P; ++r) {
-    if (!faults.always_alive(r)) {
-      mux_options.excluded[static_cast<std::size_t>(r)] = 1;
-      ++excluded_count;
-    }
+    if (!faults.always_alive(r)) mux_options.excluded[static_cast<std::size_t>(r)] = 1;
   }
 
   proto::StreamMux mux(
@@ -744,11 +741,9 @@ RunRecord run_sim_stream(const RunSpec& spec) {
   sim::Simulator simulator(params, &faults);
   const auto start = Clock::now();
   const sim::RunResult result = simulator.run(mux, sim::RunOptions{});
-  record.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  const double wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
 
   support::Samples sojourn;
-  std::int64_t deliveries = 0;
-  sim::Time last_retire = 0;
   for (const proto::StreamMuxEpoch& epoch : mux.epochs()) {
     record.aggregate.messages_per_process.add(static_cast<double>(epoch.sends) /
                                               static_cast<double>(spec.params.P));
@@ -757,8 +752,6 @@ RunRecord run_sim_stream(const RunSpec& spec) {
       continue;
     }
     sojourn.add(static_cast<double>(epoch.sojourn()));
-    deliveries += epoch.colored;
-    last_retire = std::max(last_retire, epoch.retired);
   }
   record.runs = mux.retired_count();
   fill_latency(record, sojourn);
@@ -768,16 +761,8 @@ RunRecord run_sim_stream(const RunSpec& spec) {
                           static_cast<double>(spec.reps)
                     : 0.0;
   record.messages_per_sec =
-      record.wall_seconds > 0.0
-          ? static_cast<double>(result.total_messages) / record.wall_seconds
-          : 0.0;
+      wall_seconds > 0.0 ? static_cast<double>(result.total_messages) / wall_seconds : 0.0;
   fill_crash_report(record, scenario, spec.seed, /*per_rep=*/false);
-  record.offered_rate = spec.rate;
-  const double model_seconds = static_cast<double>(last_retire) * 1e-6;
-  record.achieved_rate =
-      model_seconds > 0.0 ? static_cast<double>(record.runs) / model_seconds : 0.0;
-  record.deliveries_per_sec =
-      model_seconds > 0.0 ? static_cast<double>(deliveries) / model_seconds : 0.0;
   // Per-rank detail of epoch 0, same contract as the one-shot detail rep.
   for (topo::Rank r = 0; r < spec.params.P; ++r) {
     if (faults.always_alive(r) && !mux.colored_in(0, r)) {
@@ -810,6 +795,21 @@ RunRecord run_sim_reduction(const RunSpec& spec) {
   const std::vector<std::int64_t> values =
       reduction_inputs(rt::MembershipView::identity(spec.params.P));
 
+  // Allreduce's result broadcast starts when the root's gather deadline
+  // fires, so a synchronized start defaults to that deadline plus the
+  // fault-free dissemination span (the one-shot broadcast's default).
+  proto::CorrectionConfig correction = spec.correction;
+  default_delay(correction, spec.params, /*wall_clock=*/false);
+  if (spec.collective == Collective::kAllreduce &&
+      correction.kind != proto::CorrectionKind::kNone &&
+      correction.start == proto::CorrectionStart::kSynchronized &&
+      correction.sync_time == 0) {
+    const proto::CorrectedReduce reduce(tree, spec.params, values,
+                                        proto::ReduceConfig{spec.reduce_distance});
+    correction.sync_time = reduce.forward_deadline(tree.root()) +
+                           proto::fault_free_dissemination_time(tree, spec.params);
+  }
+
   std::int64_t total_messages = 0;
   const auto start = Clock::now();
   for (std::int64_t rep = 0; rep < spec.reps; ++rep) {
@@ -829,8 +829,7 @@ RunRecord run_sim_reduction(const RunSpec& spec) {
     } else {
       proto::AllReduceConfig config;
       config.reduce.distance = spec.reduce_distance;
-      config.correction = spec.correction;
-      default_delay(config.correction, spec.params, /*wall_clock=*/false);
+      config.correction = correction;
       proto::CorrectedAllReduce protocol(tree, spec.params, values, config);
       result = simulator.run(protocol, options);
       root_done = protocol.reduction_done();
@@ -850,13 +849,12 @@ RunRecord run_sim_reduction(const RunSpec& spec) {
       record.uncolored_survivors = uncolored_survivors_of(result, faults);
     }
   }
-  record.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  const double wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
 
   fill_latency(record, record.aggregate.quiescence_latency);
   record.messages_per_process = record.aggregate.messages_per_process.mean();
-  record.messages_per_sec = record.wall_seconds > 0.0
-                                ? static_cast<double>(total_messages) / record.wall_seconds
-                                : 0.0;
+  record.messages_per_sec =
+      wall_seconds > 0.0 ? static_cast<double>(total_messages) / wall_seconds : 0.0;
   fill_crash_report(record, scenario, spec.seed, /*per_rep=*/true);
   return record;
 }
@@ -981,7 +979,6 @@ RunRecord harness_record(const RunSpec& spec, const rt::HarnessResult& result,
   record.latency_unit = "us";
   record.workers = workers;
   record.runs = result.iterations;
-  record.wall_seconds = result.wall_seconds;
   fill_latency(record, result.latency_us);
   record.messages_per_process =
       result.messages_per_process.empty() ? 0.0 : result.messages_per_process.mean();
@@ -1062,7 +1059,6 @@ RunRecord run_rt(const RunSpec& spec) {
     record.latency_unit = "us";
     record.workers = static_cast<std::int64_t>(engine.worker_threads());
     record.runs = result.epochs;
-    record.wall_seconds = result.wall_seconds;
     fill_latency(record, result.sojourn_us);  // sojourn: queueing + service
     record.messages_per_process =
         result.epochs > 0 ? static_cast<double>(result.total_messages) /
@@ -1076,9 +1072,6 @@ RunRecord run_rt(const RunSpec& spec) {
     record.incomplete = result.incomplete;
     record.timeouts = result.timeouts;
     record.ranks_crashed = result.ranks_crashed;
-    record.offered_rate = spec.rate;
-    record.achieved_rate = result.achieved_rate();
-    record.deliveries_per_sec = result.deliveries_per_sec();
     record.repairs = result.repairs;
     record.rejoins = result.rejoins;
     record.state_transfers = result.state_transfers;
@@ -1140,45 +1133,6 @@ RunRecord run(const RunSpec& spec, const support::ThreadPool* pool) {
   // StreamMux path is the one that knows how to build chunked protocols.
   if (spec.streaming() || spec.chunk > 0) return run_sim_stream(spec);
   return run_sim_broadcast(spec, pool);
-}
-
-void RunRecord::write_json(support::JsonWriter& w) const {
-  w.begin_object()
-      .field("spec", spec)
-      .field("executor", executor)
-      .field("procs", static_cast<std::int64_t>(procs))
-      .field("workers", workers)
-      .field("runs", runs)
-      .field("wall_seconds", wall_seconds, 3)
-      .field("latency_unit", latency_unit)
-      .field("latency_p50", latency_p50, 1)
-      .field("latency_p99", latency_p99, 1)
-      .field("latency_mean", latency_mean, 1)
-      .field("messages_per_process", messages_per_process, 2)
-      .field("messages_per_sec", messages_per_sec, 0)
-      .field("incomplete", incomplete)
-      .field("timeouts", timeouts)
-      .field("epochs_degraded", epochs_degraded)
-      .field("ranks_crashed", ranks_crashed)
-      .field("messages_dropped", messages_dropped)
-      .field("messages_delayed", messages_delayed)
-      .field("messages_duplicated", messages_duplicated)
-      // Streaming keys.
-      .field("latency_p999", latency_p999, 1)
-      .field("offered_rate", offered_rate, 1)
-      .field("achieved_rate", achieved_rate, 1)
-      .field("deliveries_per_sec", deliveries_per_sec, 0)
-      // Recovery keys (repair=1 runs).
-      .field("repairs", repairs)
-      .field("rejoins", rejoins)
-      .field("replayed_epochs", replayed_epochs)
-      .field("state_transfers", state_transfers)
-      .field("epochs_to_converge", epochs_to_converge)
-      // Transport keys (exec=rt-udp perfect-links tallies; zeros on
-      // in-process executors).
-      .field("retransmits", retransmits)
-      .field("dup_drops", dup_drops)
-      .end_object();
 }
 
 }  // namespace ct::exp

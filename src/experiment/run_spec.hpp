@@ -19,16 +19,15 @@
 // through the ReplicaPlan path), exec=rt-sharded (wall-clock epochs on
 // rt::Engine + measure_broadcast), and exec=rt-udp (forked OS
 // processes exchanging real loopback datagrams under the perfect-links
-// layer, DESIGN.md §4j); exp::run returns one RunRecord with the identical
-// metric key set either way (latency_unit tells model ticks from
-// microseconds; chaos tallies are zero under sim).
+// layer, DESIGN.md §4j); exp::run returns the same RunRecord either way
+// (latency_unit tells model ticks from microseconds; chaos tallies are zero
+// under sim).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "experiment/runner.hpp"
-#include "support/json.hpp"
 
 namespace ct::exp {
 
@@ -58,9 +57,9 @@ struct FaultModel {
   topo::Rank count = 0;
   double fraction = 0.0;
   /// > 0: resample the static placement until the statically-uncolored
-  /// set's largest ring gap is <= gap_limit (rt executors; the fig12 /
-  /// bench_report "gap-safe" trick so coverage-bounded correction can
-  /// finish every epoch). Sim samples per replication and simply reports
+  /// set's largest ring gap is <= gap_limit (rt executors; the fig12
+  /// "gap-safe" trick so coverage-bounded correction can finish every
+  /// epoch). Sim samples per replication and simply reports
   /// uncolored survivors, so the limit is not applied there.
   int gap_limit = 0;
   /// Ranks killed "at time zero but after start": sim kills them at t = 1
@@ -176,16 +175,13 @@ RunSpec parse_run_spec(const std::string& text);
 /// ("rt-tpr", "rt-thread-per-rank") and the ':inbox'/':pin' options.
 void parse_executor(const std::string& text, RunSpec& spec);
 
-/// Outcome of one RunSpec execution. One struct for both substrates;
-/// write_json() emits the identical key set regardless of executor so
-/// bench tables can A/B sim against rt cell by cell.
+/// Outcome of one RunSpec execution. One struct for both substrates, so
+/// sim and rt records of the same cell compare field by field.
 struct RunRecord {
   std::string spec;       ///< canonical spec string of the run
   std::string executor;   ///< executor_name() of the substrate used
-  topo::Rank procs = 0;
   std::int64_t workers = 0;  ///< pool workers (sim) / engine threads (rt)
   std::int64_t runs = 0;     ///< measured replications / epochs
-  double wall_seconds = 0.0; ///< measured loop only (detail run excluded)
 
   /// Latency distribution over clean runs. Units differ by substrate —
   /// sim reports LogP model ticks (quiescence latency), rt wall-clock
@@ -196,15 +192,9 @@ struct RunRecord {
   double latency_mean = 0.0;
 
   double messages_per_process = 0.0;
-  double messages_per_sec = 0.0;  ///< delivered sends / wall_seconds
+  double messages_per_sec = 0.0;  ///< delivered sends / measured wall seconds
   std::int64_t incomplete = 0;    ///< runs leaving live survivors uncolored
   std::int64_t timeouts = 0;      ///< rt epochs hitting deadline (sim: 0)
-
-  // --- streaming metrics (zero for one-shot runs except latency_p999) ---
-  double latency_p999 = 0.0;        ///< tail of the same distribution as p50/p99
-  double offered_rate = 0.0;        ///< RunSpec::rate (0 = closed loop)
-  double achieved_rate = 0.0;       ///< retired epochs/s (sim: model-time)
-  double deliveries_per_sec = 0.0;  ///< colored live ranks/s across the stream
 
   // --- chaos tallies (all zero under sim except ranks_crashed) ---
   std::int64_t epochs_degraded = 0;
@@ -233,10 +223,6 @@ struct RunRecord {
 
   /// Sim-only rich aggregate (percentile tables for ct_sim); empty under rt.
   Aggregate aggregate;
-
-  /// Emits this record as a JSON object with a fixed, substrate-independent
-  /// key order.
-  void write_json(support::JsonWriter& w) const;
 };
 
 /// Executes `spec` on the substrate it names and aggregates the result.

@@ -8,7 +8,6 @@
 #include "protocol/ack_tree.hpp"
 #include "protocol/tree_broadcast.hpp"
 #include "sim/simulator.hpp"
-#include "support/options.hpp"
 #include "support/rng.hpp"
 
 namespace ct::exp {
@@ -190,16 +189,6 @@ Aggregate run_replicated_range(const Scenario& scenario, std::size_t rep_begin,
   aggregate.reserve(reps);
   for (const Aggregate& part : partial) aggregate.merge(part);
   return aggregate;
-}
-
-Scale default_scale(topo::Rank default_procs, std::size_t default_reps,
-                    std::uint64_t default_seed) {
-  support::Options env;  // no argv: env vars only
-  Scale scale;
-  scale.procs = static_cast<topo::Rank>(env.get_int("procs", default_procs));
-  scale.reps = static_cast<std::size_t>(env.get_int("reps", static_cast<std::int64_t>(default_reps)));
-  scale.seed = static_cast<std::uint64_t>(env.get_int("seed", static_cast<std::int64_t>(default_seed)));
-  return scale;
 }
 
 }  // namespace ct::exp

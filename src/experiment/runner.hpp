@@ -124,14 +124,4 @@ sim::RunResult run_once(const Scenario& scenario, std::uint64_t rep_seed,
 const sim::RunResult& run_once(const Scenario& scenario, std::uint64_t rep_seed,
                                const sim::RunOptions& options, ReplicaPlan& plan);
 
-/// Global experiment scale knobs, honoring CT_PROCS / CT_REPS / CT_SEED env
-/// overrides used by the bench suite (see DESIGN.md).
-struct Scale {
-  topo::Rank procs;
-  std::size_t reps;
-  std::uint64_t seed;
-};
-Scale default_scale(topo::Rank default_procs, std::size_t default_reps,
-                    std::uint64_t default_seed = 0x5eed5eedULL);
-
 }  // namespace ct::exp

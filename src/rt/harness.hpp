@@ -151,11 +151,6 @@ struct StreamHarnessResult {
   double deliveries_per_sec() const {
     return wall_seconds > 0.0 ? static_cast<double>(deliveries) / wall_seconds : 0.0;
   }
-  /// Completed-epoch rate, for offered-vs-achieved comparison against
-  /// StreamOptions::rate.
-  double achieved_rate() const {
-    return wall_seconds > 0.0 ? static_cast<double>(epochs) / wall_seconds : 0.0;
-  }
 };
 
 /// Runs one stream on `engine` (sharded backend only) and aggregates it.

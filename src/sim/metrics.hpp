@@ -29,7 +29,7 @@ struct RunResult {
   Time quiescence_latency = 0;
   std::int64_t total_messages = 0;
   /// Simulator events dispatched for this run (engine throughput metric;
-  /// a message costs several events plus timers — see bench_report).
+  /// a message costs several events plus timers — see micro_simulator).
   std::int64_t events_processed = 0;
 
   /// Live processes still uncolored at quiescence. Nonzero only for

@@ -381,18 +381,5 @@ TEST(Runner, AutoSyncTimeFilledIn) {
   EXPECT_EQ(result.correction_start, expected);
 }
 
-TEST(Runner, ScaleHonoursEnvironment) {
-  ::setenv("CT_PROCS", "2048", 1);
-  ::setenv("CT_REPS", "7", 1);
-  const exp::Scale scale = exp::default_scale(1024, 100);
-  EXPECT_EQ(scale.procs, 2048);
-  EXPECT_EQ(scale.reps, 7u);
-  ::unsetenv("CT_PROCS");
-  ::unsetenv("CT_REPS");
-  const exp::Scale fallback = exp::default_scale(1024, 100);
-  EXPECT_EQ(fallback.procs, 1024);
-  EXPECT_EQ(fallback.reps, 100u);
-}
-
 }  // namespace
 }  // namespace ct::proto

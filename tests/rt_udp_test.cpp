@@ -269,6 +269,20 @@ TEST(UdpEngine, SingleProcessDegeneratesToCoordinatorTalkingToItself) {
   EXPECT_EQ(result.harness.dup_drops, 0);
 }
 
+TEST(UdpEngine, SpecCellWithMidEpochCrashesRunsEveryEpoch) {
+  std::string why;
+  if (!udp_loopback_available(why)) GTEST_SKIP() << why;
+  // exp::run end to end across two worker processes: checked correction
+  // with 2% of the ranks crashing mid-epoch.
+  const exp::RunSpec spec = exp::parse_run_spec(
+      "bcast:binomial:checked:overlapped@P=64,chaos-seed=1592614637,crash-frac=0.02,"
+      "reps=9,warmup=1,deadline-ms=10000,exec=rt-udp:procs=2");
+  const exp::RunRecord record = exp::run(spec);
+  EXPECT_EQ(record.runs, spec.reps);
+  EXPECT_EQ(record.timeouts, 0);
+  EXPECT_GT(record.messages_per_process, 0.0);
+}
+
 // --- spec-driven parity (the PR 5/6 oracle) ---------------------------------
 
 std::vector<Rank> pick_victims(Rank procs, int count, support::Xoshiro256ss& rng) {

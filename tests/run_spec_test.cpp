@@ -1,18 +1,16 @@
 // RunSpec layer tests (DESIGN.md §4e): the string round-trip property over
-// every axis, rejection diagnostics for malformed specs, the JSON writer,
-// and one tiny exp::run smoke per (executor x protocol) cell — the
-// "spec-smoke" ctest label. The acceptance property of the layer is that
-// one spec string runs unmodified under exec=sim and exec=rt-* and yields
-// RunRecords with the identical metric key set.
+// every axis, rejection diagnostics for malformed specs, and tiny exp::run
+// smokes per (executor x protocol) cell plus the stream, chunk and chaos
+// paths — the "spec-smoke" ctest label. The acceptance property of the
+// layer is that one spec string runs unmodified under exec=sim and
+// exec=rt-* and yields the same RunRecord.
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "experiment/run_spec.hpp"
-#include "support/json.hpp"
 
 namespace ct::exp {
 namespace {
@@ -301,6 +299,15 @@ TEST(RunSpecParse, RejectsInconsistentAxes) {
                   "sync=<ns>");
   EXPECT_NO_THROW(exp::parse_run_spec(
       "bcast:binomial:checked:sync@P=64,sync=300000,reps=2,exec=rt-sharded:w=2"));
+  // A stream's epochs share one clock, so a synchronized start has passed
+  // for every epoch after the first; the sim also runs chunk= as a stream.
+  for (const char* stream : {"window=4,exec=sim", "window=4,rate=1000,exec=sim",
+                             "window=4,sync=300000,exec=rt-sharded"}) {
+    expect_rejected(std::string("bcast:binomial:checked:sync@P=64,") + stream,
+                    "window/rate");
+  }
+  expect_rejected("bcast:binomial:checked:sync@P=64,bytes=4096,chunk=1024,exec=sim",
+                  "chunk=");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,proto=gossip,gap=4",
                   "tree protocol");
   // PR9 self-healing axes: repair is a wall-clock (rt) concept, and the
@@ -331,74 +338,21 @@ TEST(RunSpecParse, RejectsInconsistentAxes) {
                   "windowed executor");
 }
 
-// --- JSON writer ---------------------------------------------------------
-
-TEST(JsonWriter, EscapesAndNests) {
-  support::JsonWriter w;
-  w.begin_object()
-      .field("name", "a\"b\\c\n\t")
-      .key("rows")
-      .begin_array()
-      .value(std::int64_t{1})
-      .value(2.5, 1)
-      .value(false)
-      .end_array()
-      .key("nested")
-      .begin_object()
-      .field("x", std::int64_t{-3})
-      .end_object()
-      .end_object();
-  EXPECT_EQ(w.str(),
-            "{\n"
-            "  \"name\": \"a\\\"b\\\\c\\n\\t\",\n"
-            "  \"rows\": [\n"
-            "    1,\n"
-            "    2.5,\n"
-            "    false\n"
-            "  ],\n"
-            "  \"nested\": {\n"
-            "    \"x\": -3\n"
-            "  }\n"
-            "}");
-}
-
-TEST(JsonWriter, ThrowsOnUnbalancedDocument) {
-  support::JsonWriter w;
-  w.begin_object();
-  EXPECT_THROW(w.str(), std::logic_error);
-}
-
-TEST(JsonWriter, ControlCharactersEscaped) {
-  EXPECT_EQ(support::JsonWriter::escape(std::string("a\x01z")), "a\\u0001z");
-}
-
-// --- exp::run smoke: one tiny cell per (executor x protocol) --------------
-
-std::set<std::string> json_keys(const RunRecord& record) {
-  support::JsonWriter w;
-  record.write_json(w);
-  std::set<std::string> keys;
-  const std::string& text = w.str();
-  std::size_t pos = 0;
-  while ((pos = text.find('"', pos)) != std::string::npos) {
-    const std::size_t end = text.find('"', pos + 1);
-    const std::string token = text.substr(pos + 1, end - pos - 1);
-    if (text.compare(end + 1, 1, ":") == 0) keys.insert(token);
-    pos = end + 1;
-  }
-  return keys;
-}
+// --- exp::run smoke: tiny cells per executor and path --------------------
 
 TEST(SpecSmoke, SimExecutorAllProtocols) {
-  for (const char* spec :
+  for (const char* text :
        {"bcast:binomial:checked:overlapped@P=24,kill=5,reps=2,exec=sim",
         "bcast:binomial:none:overlapped@P=24,proto=ack,reps=2,exec=sim",
         "bcast:binomial:checked:overlapped@P=24,proto=gossip,gossip-rounds=6,reps=2,"
-        "exec=sim"}) {
-    SCOPED_TRACE(spec);
-    const RunRecord record = run(parse_run_spec(spec));
+        "exec=sim",
+        // A windowed stream: every epoch multiplexed on one event queue.
+        "bcast:binomial:opportunistic:4:overlapped@P=256,reps=8,window=4,exec=sim"}) {
+    SCOPED_TRACE(text);
+    const RunSpec spec = parse_run_spec(text);
+    const RunRecord record = run(spec);
     EXPECT_EQ(record.executor, "sim");
-    EXPECT_EQ(record.runs, 2);
+    EXPECT_EQ(record.runs, spec.reps);
     EXPECT_EQ(record.latency_unit, "ticks");
     EXPECT_GT(record.latency_p50, 0.0);
     EXPECT_GT(record.messages_per_process, 0.0);
@@ -416,23 +370,46 @@ TEST(SpecSmoke, SimReduceAndAllreduce) {
   EXPECT_EQ(allreduce.incomplete, 0);
   EXPECT_EQ(allreduce.crashed_ranks, std::vector<topo::Rank>{7});
   EXPECT_TRUE(allreduce.uncolored_survivors.empty());
+
+  // A synchronized result broadcast defaults to the root's gather deadline
+  // plus the dissemination span.
+  for (const char* text : {"allreduce:binomial:checked:sync@P=64,exec=sim",
+                           "allreduce:binomial:checked:sync@P=64,kill=7,exec=sim"}) {
+    SCOPED_TRACE(text);
+    const RunSpec spec = parse_run_spec(text);
+    const RunRecord record = run(spec);
+    EXPECT_EQ(record.runs, spec.reps);
+    EXPECT_EQ(record.incomplete, 0);
+    EXPECT_TRUE(record.uncolored_survivors.empty());
+  }
 }
 
 TEST(SpecSmoke, RtShardedExecutorAllProtocols) {
-  for (const char* spec :
+  for (const char* text :
        {"bcast:binomial:checked:overlapped@P=24,kill=5,reps=2,warmup=1,"
         "exec=rt-sharded:w=4",
         "bcast:binomial:none:overlapped@P=24,proto=ack,reps=2,warmup=1,"
         "exec=rt-sharded:w=4",
         "bcast:binomial:checked:overlapped@P=24,proto=gossip,gossip-rounds=6,reps=2,"
-        "warmup=1,exec=rt-sharded:w=4"}) {
-    SCOPED_TRACE(spec);
-    const RunRecord record = run(parse_run_spec(spec));
+        "warmup=1,exec=rt-sharded:w=4",
+        // An open-loop stream through the window slots, and a closed-loop
+        // one carrying each epoch's payload as four pipelined chunks.
+        "bcast:binomial:opportunistic:4:overlapped@P=256,reps=8,deadline-ms=10000,"
+        "window=4,rate=200,exec=rt-sharded",
+        "bcast:binomial:opportunistic:4:overlapped@P=256,bytes=16384,reps=8,"
+        "deadline-ms=10000,window=4,chunk=4096,exec=rt-sharded",
+        // Mid-epoch crashes plus dropped messages under checked correction.
+        "bcast:binomial:checked:overlapped@P=256,chaos-seed=1592614637,crash-frac=0.02,"
+        "drop-prob=0.01,reps=9,warmup=1,deadline-ms=2000,exec=rt-sharded"}) {
+    SCOPED_TRACE(text);
+    const RunSpec spec = parse_run_spec(text);
+    const RunRecord record = run(spec);
     EXPECT_EQ(record.executor, "rt-sharded");
-    EXPECT_EQ(record.runs, 2);
+    EXPECT_EQ(record.runs, spec.reps);
     EXPECT_EQ(record.latency_unit, "us");
     EXPECT_EQ(record.timeouts, 0);
     EXPECT_GT(record.latency_p50, 0.0);
+    EXPECT_GT(record.messages_per_process, 0.0);
   }
 }
 
@@ -477,7 +454,6 @@ TEST(SpecSmoke, MetricKeysIdenticalAcrossExecutors) {
   const RunRecord sim_record = run(parse_run_spec(cell + ",exec=sim"));
   const RunRecord rt_record =
       run(parse_run_spec(cell + ",warmup=1,exec=rt-sharded:w=4"));
-  EXPECT_EQ(json_keys(sim_record), json_keys(rt_record));
   // Chaos tallies exist under sim but read zero (except realised crashes).
   EXPECT_EQ(sim_record.messages_dropped, 0);
   EXPECT_EQ(sim_record.timeouts, 0);
