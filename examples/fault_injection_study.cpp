@@ -3,8 +3,7 @@
 // and correction algorithm, replicated with recorded seeds, and prints how
 // latency, traffic and reliability respond.
 //
-//   $ ./fault_injection_study --procs 4096 --reps 100 --tree=binomial \
-//         --correction=checked
+//   $ ./fault_injection_study --procs 4096 --reps 100 --tree=binomial --correction=checked
 
 #include <iostream>
 

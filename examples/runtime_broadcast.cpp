@@ -6,12 +6,10 @@
 // canonical spec of the run is echoed so any invocation can be reproduced
 // with --spec (or under exec=sim, unchanged).
 //
-//   $ ./runtime_broadcast \
-//       "bcast:binomial:checked:overlapped@P=1024,f=2%,exec=rt-sharded:w=8"
+//   $ ./runtime_broadcast "bcast:binomial:checked:overlapped@P=1024,f=2%,exec=rt-sharded:w=8"
 //   $ ./runtime_broadcast --procs 36864 --faults 700 --iterations 10
 //   $ ./runtime_broadcast --procs 4096 --workers 2    # pin the shard count
-//   $ ./runtime_broadcast \
-//       "bcast:binomial:checked:overlapped@P=256,exec=rt-udp:procs=8"
+//   $ ./runtime_broadcast "bcast:binomial:checked:overlapped@P=256,exec=rt-udp:procs=8"
 //                        # forked processes over loopback UDP perfect links
 //
 // Chaos soaks (DESIGN.md §4d) — deterministic mid-epoch crashes, drops,

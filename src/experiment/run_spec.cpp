@@ -797,17 +797,25 @@ RunRecord run_sim_reduction(const RunSpec& spec) {
 
   // Allreduce's result broadcast starts when the root's gather deadline
   // fires, so a synchronized start defaults to that deadline plus the
-  // fault-free dissemination span (the one-shot broadcast's default).
+  // fault-free dissemination span (the one-shot broadcast's default), and
+  // an explicit sync= before the deadline would arm timers in the past.
   proto::CorrectionConfig correction = spec.correction;
   default_delay(correction, spec.params, /*wall_clock=*/false);
   if (spec.collective == Collective::kAllreduce &&
       correction.kind != proto::CorrectionKind::kNone &&
-      correction.start == proto::CorrectionStart::kSynchronized &&
-      correction.sync_time == 0) {
+      correction.start == proto::CorrectionStart::kSynchronized) {
     const proto::CorrectedReduce reduce(tree, spec.params, values,
                                         proto::ReduceConfig{spec.reduce_distance});
-    correction.sync_time = reduce.forward_deadline(tree.root()) +
-                           proto::fault_free_dissemination_time(tree, spec.params);
+    const sim::Time gather = reduce.forward_deadline(tree.root());
+    if (correction.sync_time == 0) {
+      correction.sync_time =
+          gather + proto::fault_free_dissemination_time(tree, spec.params);
+    } else if (correction.sync_time < gather) {
+      throw std::invalid_argument(
+          "sync=" + std::to_string(correction.sync_time) +
+          " is before allreduce's result broadcast starts; it must be at least " +
+          std::to_string(gather) + " (the root's gather deadline)");
+    }
   }
 
   std::int64_t total_messages = 0;

@@ -77,9 +77,10 @@ struct FaultModel {
   std::int64_t delay_us = 200;
 
   // --- self-healing membership (PR9; rt executors only) ---
-  /// repair=1: crashes become persistent and the run repairs itself at
-  /// every epoch boundary — one-shot runs rebuild the tree over survivors
-  /// (rt::measure_recovery), streams retire corpses at admission.
+  /// repair=1: crashes persist in the engine's one membership and the run
+  /// repairs itself at every epoch boundary (rt::Engine::heal) — one-shot
+  /// runs rebuild the tree over survivors (rt::measure_recovery), streams
+  /// retire corpses at admission.
   bool repair = false;
   /// revive-frac=p: probability a crashed rank gets a deterministic
   /// revive schedule (ChaosPlan::revive_after_ns; same SplitMix64 contract

@@ -124,13 +124,16 @@ struct StreamEpoch {
   bool timed_out = false;
   std::int32_t crashed = 0;        ///< mid-epoch chaos crashes
   std::int32_t uncolored = 0;      ///< live survivors never colored
+  std::int32_t colored = 0;        ///< live survivors colored (deliveries)
   std::int64_t messages = 0;
-  /// Repair mode only: ranks already dead (persisted crashes) when this
+  /// Repair mode only: ranks already dead in the engine's membership
+  /// (persisted crashes, from this stream or an earlier epoch) when this
   /// epoch was admitted — excluded from the live set, not survivors and not
   /// counted in `crashed`/`uncolored`.
   std::int32_t dead_at_start = 0;
   /// Repair mode only: revived ranks that rejoined at this admission (each
-  /// one a fresh-epoch state transfer; streams carry no replay log).
+  /// one a fresh-epoch state transfer, whatever its outage: overlapping
+  /// in-flight epochs leave nothing well-defined to replay).
   std::int32_t rejoined = 0;
   std::vector<RankEnd> rank_state;  ///< filled only with keep_rank_state
 
@@ -143,9 +146,17 @@ struct StreamEpoch {
 struct StreamResult {
   std::vector<StreamEpoch> epochs;  ///< in admission order
   double wall_seconds = 0.0;        ///< first admission wait to last retire collection
-  /// Repair mode only: admissions at which the membership changed (deaths
-  /// persisted and/or ranks revived) and the generation was bumped.
+  /// Repair mode only: admissions whose Engine::heal changed the membership
+  /// (deaths persisted and/or ranks revived) and bumped the generation.
   std::int64_t repairs = 0;
+};
+
+/// What one Engine::heal boundary changed.
+struct HealResult {
+  bool repaired = false;  ///< the generation was bumped (once)
+  /// Per revived rank: engine epochs from its crash epoch through the last
+  /// admitted one (rejoin_replays() picks replay or state transfer).
+  std::vector<std::int64_t> outages;
 };
 
 struct EngineOptions {
@@ -160,12 +171,12 @@ struct EngineOptions {
   /// Must be >= 1 (the constructor rejects 0).
   std::size_t mesh_capacity = 1024;
   /// Self-healing membership (DESIGN.md §4i). Chaos crashes become
-  /// *persistent*: a rank killed mid-epoch stays dead across epochs until
-  /// revived, and the caller repairs the membership at epoch boundaries via
-  /// Engine::repair_membership (one-shot epochs) or the stream coordinator
-  /// does so at admission boundaries (run_stream). Off by default — without
-  /// it every epoch starts from the constructed failure set, the pre-PR9
-  /// behavior.
+  /// *persistent*: a rank killed mid-epoch, in a one-shot epoch or a
+  /// stream, joins the Engine's one dead set and stays dead across epochs
+  /// until revived. Engine::heal revives due ranks and rebuilds the
+  /// membership at epoch boundaries (measure_recovery before every epoch,
+  /// run_stream at every admission). Off by default — without it every
+  /// epoch starts from the constructed failure set.
   bool repair = false;
 };
 
@@ -193,7 +204,9 @@ class Engine {
   EpochResult run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout);
 
   /// Runs a windowed epoch stream (see StreamOptions). Serializes with
-  /// run_epoch — never call both concurrently.
+  /// run_epoch — never call both concurrently. In repair mode every
+  /// admission heals, and the stream starts from the engine's dead set and
+  /// generation.
   StreamResult run_stream(const ProtocolFactory& factory, const StreamOptions& options);
 
   /// Installs (or, with a default-constructed plan, removes) a fault-
@@ -204,43 +217,64 @@ class Engine {
   const ChaosPlan& chaos() const noexcept { return chaos_; }
 
   // --- Self-healing membership (EngineOptions::repair; DESIGN.md §4i) ----
+  // The Engine owns the one membership: dead set, generation, revivals.
+  // Every mid-epoch crash is persisted as its epoch retires and pre-marks
+  // every later launch; the generation and view change only at a boundary.
 
-  /// Epoch-boundary repair pass. Marks `newly_dead` (global ranks, e.g. the
-  /// previous EpochResult's crashed_ranks) as persistently dead, clears the
-  /// dead flag of `revived` ranks (chaos-crashed only — ranks failed at
-  /// construction have no execution slot to revive), recomputes the dense
-  /// survivor view and pushes the new membership + bumped generation into
-  /// the executor. Returns false (and changes nothing) when the requested
-  /// transition is a no-op. Must not be called while an epoch is running;
-  /// throws std::logic_error unless EngineOptions::repair is set,
+  /// The epoch boundary. Revives every persisted crash whose
+  /// ChaosPlan::revive_after_ns delay (drawn for its crash epoch) has run
+  /// out, then bumps the generation once if that or a persisted crash
+  /// changed the membership. measure_recovery calls it before every epoch,
+  /// run_stream at every admission. Must not be called during an epoch.
+  HealResult heal();
+
+  /// Explicit repair pass. Marks `newly_dead` (global ranks) as
+  /// persistently dead and revives `revived` ranks (chaos-crashed only —
+  /// ranks failed at construction have no execution slot), dropping their
+  /// pending revivals. Bumps the generation if that or a persisted crash
+  /// changed the membership; returns false otherwise. Must not be called
+  /// during an epoch; throws std::logic_error unless EngineOptions::repair is set,
   /// std::invalid_argument for rank 0, out-of-range or construction-failed
   /// revivals.
   bool repair_membership(const std::vector<topo::Rank>& newly_dead,
                          const std::vector<topo::Rank>& revived);
 
   /// Current global->dense survivor mapping (identity until the first
-  /// effective repair_membership call).
+  /// generation bump).
   const MembershipView& membership() const noexcept { return membership_; }
   std::int32_t generation() const noexcept { return generation_; }
-  /// True when `r` holds no execution slot in the current membership
-  /// (failed at construction, or crashed and persisted by a repair pass).
+  /// True when `r` holds no execution slot in later epochs (failed at
+  /// construction, or a persisted crash not yet revived).
   bool is_dead(topo::Rank r) const {
     return dead_[static_cast<std::size_t>(r)] != 0;
   }
 
  private:
+  /// Persists a crash of `r` in engine epoch `epoch` (once, even when two
+  /// overlapping stream epochs saw it) and schedules its revival.
+  void persist_crash(topo::Rank r, std::int64_t epoch);
+  /// Bumps the 8-bit generation and recomputes the survivor view.
+  void bump_generation();
+
   topo::Rank num_procs_;
   std::vector<char> failed_;
   EngineOptions options_;
-  topo::Rank live_count_ = 0;
+  topo::Rank live_count_ = 0;  ///< live ranks of membership_
   ChaosPlan chaos_;
-  /// Repair mode: current persistent dead set (failed_ plus persisted chaos
-  /// crashes minus revivals); equals failed_ when repair is off. Each
-  /// one-shot epoch's launch pre-marks it; streams keep their own
-  /// admission-time set.
+  /// Repair mode: the persistent dead set (failed_ plus persisted chaos
+  /// crashes minus revivals); equals failed_ when repair is off. Every
+  /// launch, one-shot or streamed, pre-marks it.
   std::vector<char> dead_;
   MembershipView membership_;
   std::int32_t generation_ = 0;
+  bool unrepaired_ = false;  ///< crashes persisted since the last bump
+  /// Persisted crashes with a revival scheduled (pinned-dead ranks have none).
+  struct Down {
+    topo::Rank rank;
+    std::int64_t crash_epoch;
+    Clock::time_point revive_at;
+  };
+  std::vector<Down> down_;
   class Sharded;  // the executor (engine_sharded.cpp)
   std::unique_ptr<Sharded> sharded_;  // last member: destroyed before the state it references
 };

@@ -50,17 +50,17 @@ std::size_t shard_chunk(Rank num_procs, const EngineOptions& options) {
 
 class Engine::Sharded final : private Stepper::Driver {
  public:
-  Sharded(Rank num_procs, const std::vector<char>& failed, const EngineOptions& options)
-      : num_procs_(num_procs),
-        failed_(failed),
-        repair_(options.repair),
-        chunk_(shard_chunk(num_procs, options)),
-        num_shards_((static_cast<std::size_t>(num_procs) + chunk_ - 1) / chunk_),
-        transport_(num_shards_, options.mesh_capacity),
-        stepper_(num_procs, failed, chunk_, 0, num_procs, transport_, *this),
+  explicit Sharded(Engine& engine)
+      : engine_(engine),
+        repair_(engine.options_.repair),
+        chunk_(shard_chunk(engine.num_procs_, engine.options_)),
+        num_shards_((static_cast<std::size_t>(engine.num_procs_) + chunk_ - 1) / chunk_),
+        transport_(num_shards_, engine.options_.mesh_capacity),
+        stepper_(engine.num_procs_, engine.failed_, chunk_, 0, engine.num_procs_, transport_,
+                 *this),
         epoch_barrier_(static_cast<std::ptrdiff_t>(num_shards_) + 1) {
     for (std::size_t s = 0; s < num_shards_; ++s) {
-      shards_.emplace_back(s, chunk_, failed_, num_shards_);
+      shards_.emplace_back(s, chunk_, engine.failed_, num_shards_);
     }
     threads_.reserve(num_shards_);
     for (std::size_t s = 0; s < num_shards_; ++s) {
@@ -76,23 +76,19 @@ class Engine::Sharded final : private Stepper::Driver {
 
   /// One-shot epoch: slot 0 of a one-slot window, bracketed by the epoch
   /// barrier. The coordinator stages every slice itself while the workers
-  /// are parked, and sleeps on the barrier until the slot retires. `dead`
-  /// and `generation` are the engine's one-shot membership; launch reads
-  /// them before the slot's kActive release, so repair passes between
-  /// epochs need no synchronization of their own.
-  EpochResult run_epoch(sim::Protocol& protocol, const std::vector<char>& dead,
-                        std::int32_t generation, std::int64_t timeout_ns) {
+  /// are parked, and sleeps on the barrier until the slot retires.
+  EpochResult run_epoch(sim::Protocol& protocol, std::int64_t timeout_ns) {
     open_window(1, /*one_shot=*/true);
     Slot& slot = stepper_.slot(0);
-    admit(slot, ++epoch_);
+    admit(slot, epoch_ + 1);
     for (Shard& shard : shards_) stage_slice(shard, 0, slot);
-    launch(slot, protocol, dead, generation, timeout_ns);
+    launch(slot, protocol, timeout_ns);
     stepper_.start_clock();
     epoch_barrier_.arrive_and_wait();  // epoch start
     epoch_barrier_.arrive_and_wait();  // epoch end
     EpochResult result;
     result.timed_out = slot.timed_out;
-    stepper_.collect(slot, 0, num_procs_, result);
+    stepper_.collect(slot, 0, engine_.num_procs_, result);
     summarize_ranks(result);
     return result;
   }
@@ -100,6 +96,8 @@ class Engine::Sharded final : private Stepper::Driver {
   StreamResult run_stream(const ProtocolFactory& factory, const StreamOptions& options);
 
   std::size_t worker_threads() const noexcept { return threads_.size(); }
+  /// The engine-wide tag of the last admitted epoch (0 before the first).
+  std::int64_t last_epoch() const noexcept { return epoch_; }
 
   /// nullptr disables injection. The plan outlives all epochs run under it.
   void set_chaos(const ChaosPlan* plan) { stepper_.set_chaos(plan, /*link_verdicts=*/true); }
@@ -146,6 +144,7 @@ class Engine::Sharded final : private Stepper::Driver {
   /// kFree → kStaging: the coordinator hands the slot to the shards for
   /// their staging resets.
   void admit(Slot& slot, std::int64_t epoch) {
+    epoch_ = epoch;
     slot.epoch = epoch;
     slot.stage_acks.store(0, std::memory_order_relaxed);
     slot.seal_acks.store(0, std::memory_order_relaxed);
@@ -166,12 +165,14 @@ class Engine::Sharded final : private Stepper::Driver {
 
   /// kStaged → kActive: the coordinator owns the slot here — every slice is
   /// staged, and no worker touches the slot's rank state until the kActive
-  /// release-store. Under repair, ranks in `dead` hold no execution slot.
-  void launch(Slot& slot, sim::Protocol& protocol, const std::vector<char>& dead,
-              std::int32_t generation, std::int64_t timeout_ns) {
+  /// release-store. Under repair, ranks in the engine's dead set hold no
+  /// execution slot; the slot keeps the dead set and generation it launched
+  /// with, so boundaries need no synchronization of their own.
+  void launch(Slot& slot, sim::Protocol& protocol, std::int64_t timeout_ns) {
     slot.remaining.store(static_cast<std::int32_t>(shards_.size()),
                          std::memory_order_relaxed);
-    stepper_.launch(slot, protocol, repair_ ? &dead : nullptr, generation, timeout_ns);
+    stepper_.launch(slot, protocol, repair_ ? &engine_.dead_ : nullptr, engine_.generation_,
+                    timeout_ns);
     kick_all_shards();
   }
 
@@ -296,34 +297,16 @@ class Engine::Sharded final : private Stepper::Driver {
   // --- Stream coordinator ---------------------------------------------------
 
   /// kStaged → kActive for a streamed epoch. In repair mode the admission
-  /// boundary first revives ranks whose schedule came due (a fresh-epoch
-  /// state transfer — the new protocol instance carries the epoch's full
+  /// is the engine's heal boundary: revived ranks rejoin by fresh-epoch
+  /// state transfer (the new protocol instance carries the epoch's full
   /// state, nothing to replay); epochs already in flight keep the
-  /// membership they were admitted with.
-  void begin_stream_epoch(Slot& slot, const ProtocolFactory& factory) {
+  /// membership they were launched with. Returns whether heal repaired.
+  bool begin_stream_epoch(Slot& slot, const ProtocolFactory& factory) {
     slot.owned = factory();
-    slot.rejoined = 0;
-    if (repair_) {
-      bool changed = stream_membership_dirty_;
-      stream_membership_dirty_ = false;
-      const sim::Time admit_now = stepper_.now();
-      std::size_t keep = 0;
-      for (const StreamDown& down : stream_down_) {
-        if (admit_now >= down.revive_at_ns) {
-          stream_dead_[static_cast<std::size_t>(down.rank)] = 0;
-          ++slot.rejoined;
-          changed = true;
-        } else {
-          stream_down_[keep++] = down;
-        }
-      }
-      stream_down_.resize(keep);
-      if (changed) {
-        stream_generation_ = (stream_generation_ + 1) & 0xFF;
-        ++stream_repairs_;
-      }
-    }
-    launch(slot, *slot.owned, stream_dead_, stream_generation_, stream_timeout_ns_);
+    const HealResult heal = repair_ ? engine_.heal() : HealResult{};
+    slot.rejoined = static_cast<std::int32_t>(heal.outages.size());
+    launch(slot, *slot.owned, stream_timeout_ns_);
+    return heal.repaired;
   }
 
   /// kDone → caller frees: all shards acked the seal, so the seal-ack
@@ -337,8 +320,8 @@ class Engine::Sharded final : private Stepper::Driver {
     rec.retire_ns = slot.retire_ns;
     rec.timed_out = slot.timed_out;
     rec.rejoined = slot.rejoined;
-    if (keep_rank_state_) rec.rank_state.resize(static_cast<std::size_t>(num_procs_));
-    for (Rank r = 0; r < num_procs_; ++r) {
+    if (keep_rank_state_) rec.rank_state.resize(static_cast<std::size_t>(engine_.num_procs_));
+    for (Rank r = 0; r < engine_.num_procs_; ++r) {
       const auto ri = static_cast<std::size_t>(r);
       const std::size_t v = slot.base + ri;
       const RankEnd end = stepper_.end_state(v, ri);
@@ -346,30 +329,22 @@ class Engine::Sharded final : private Stepper::Driver {
       if (end == RankEnd::kFailedAtStart) {
         // Pre-marked corpse: dead before this epoch was admitted — not a
         // survivor, not a fresh crash.
-        if (!failed_[ri]) ++rec.dead_at_start;
+        if (!engine_.failed_[ri]) ++rec.dead_at_start;
         continue;
       }
       rec.messages += stepper_.sends(v);
       if (end == RankEnd::kCrashed) {
         ++rec.crashed;
-        if (repair_ && !stream_dead_[ri]) {
-          // Persist the death and draw its revive schedule, keyed by the
-          // epoch the rank crashed in (the ChaosPlan determinism contract).
-          // Schedules that never fire are not tracked: the rank simply
-          // stays in stream_dead_.
-          stream_dead_[ri] = 1;
-          stream_membership_dirty_ = true;
-          const std::int64_t delay = stepper_.chaos()->revive_after_ns(rec.epoch, r);
-          if (delay >= 0) stream_down_.push_back(StreamDown{r, stepper_.now() + delay});
-        }
+        if (repair_) engine_.persist_crash(r, rec.epoch);
       } else if (end == RankEnd::kUncolored) {
         ++rec.uncolored;
+      } else {
+        ++rec.colored;
       }
     }
   }
 
-  Rank num_procs_;
-  const std::vector<char>& failed_;
+  Engine& engine_;  // rank count, failures and the membership: dead set, generation, revivals
   const bool repair_;
 
   const std::size_t chunk_;       // ranks per shard; shard(r) = r / chunk_
@@ -381,25 +356,15 @@ class Engine::Sharded final : private Stepper::Driver {
 
   // Window state, written by the coordinator before the start barrier.
   bool one_shot_ = true;
-  std::int64_t epoch_ = 0;
+  std::int64_t epoch_ = 0;  // last admitted epoch
   /// Workers leave the pass loop: the one-shot slot retired, or the stream
   /// coordinator collected its last epoch.
   std::atomic<bool> done_{false};
   Doorbell coordinator_bell_;
 
-  // Stream-side state (coordinator-owned; workers only ever see the
-  // per-slot pre-marks published by the kActive release).
-  struct StreamDown {
-    Rank rank;
-    std::int64_t revive_at_ns;  ///< absolute stream time the revive is due
-  };
+  // Stream-side state (coordinator-owned).
   std::int64_t stream_timeout_ns_ = 0;
   bool keep_rank_state_ = false;
-  std::vector<char> stream_dead_;
-  std::vector<StreamDown> stream_down_;
-  std::int32_t stream_generation_ = 0;
-  std::int64_t stream_repairs_ = 0;
-  bool stream_membership_dirty_ = false;
 
   std::barrier<> epoch_barrier_;  // shards + coordinator, twice per run
   std::atomic<bool> shutdown_{false};
@@ -415,15 +380,6 @@ StreamResult Engine::Sharded::run_stream(const ProtocolFactory& factory,
   open_window(static_cast<std::size_t>(options.window), /*one_shot=*/false);
   stream_timeout_ns_ = options.epoch_timeout.count();
   keep_rank_state_ = options.keep_rank_state;
-  stream_generation_ = 0;
-  stream_repairs_ = 0;
-  if (repair_) {
-    // Stream-side membership (DESIGN.md §4i): crashes persist across
-    // admissions and revivals rejoin at an admission boundary.
-    stream_dead_ = failed_;
-    stream_down_.clear();
-    stream_membership_dirty_ = false;
-  }
   stepper_.start_clock();
   epoch_barrier_.arrive_and_wait();  // workers enter shard_loop
 
@@ -454,7 +410,7 @@ StreamResult Engine::Sharded::run_stream(const ProtocolFactory& factory,
     for (std::size_t w = 0; w < stepper_.window(); ++w) {
       Slot& slot = stepper_.slot(w);
       if (slot.state.load(std::memory_order_acquire) != kSlotStaged) continue;
-      begin_stream_epoch(slot, factory);
+      result.repairs += begin_stream_epoch(slot, factory);
       progress = true;
     }
 
@@ -495,8 +451,6 @@ StreamResult Engine::Sharded::run_stream(const ProtocolFactory& factory,
 
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall_start).count();
-  result.repairs = stream_repairs_;
-  epoch_ = base_epoch + options.epochs - 1;
 
   done_.store(true, std::memory_order_release);
   kick_all_shards();
@@ -524,11 +478,11 @@ Engine::Engine(Rank num_procs, std::vector<char> failed, EngineOptions options)
   for (char f : failed_) live_count_ += (f == 0);
   // Membership starts as the identity view even with construction failures:
   // the initial tree/ring span [0, P) with failed ranks as holes, exactly
-  // the pre-repair behavior. The first effective repair pass compacts over
-  // *all* dead ranks (construction failures included).
+  // the pre-repair behavior. The first generation bump compacts over *all*
+  // dead ranks (construction failures included).
   dead_ = failed_;
   membership_ = MembershipView::identity(num_procs_);
-  sharded_ = std::make_unique<Sharded>(num_procs_, failed_, options_);
+  sharded_ = std::make_unique<Sharded>(*this);
 }
 
 Engine::~Engine() = default;
@@ -538,6 +492,41 @@ std::size_t Engine::worker_threads() const noexcept { return sharded_->worker_th
 void Engine::set_chaos(ChaosPlan plan) {
   chaos_ = std::move(plan);
   sharded_->set_chaos(chaos_.enabled() ? &chaos_ : nullptr);
+}
+
+void Engine::persist_crash(topo::Rank r, std::int64_t epoch) {
+  auto& flag = dead_[static_cast<std::size_t>(r)];
+  if (flag) return;
+  flag = 1;
+  unrepaired_ = true;
+  // The revival is keyed by the epoch the rank crashed in (the ChaosPlan
+  // determinism contract) and timed from the retirement that persists it.
+  const std::int64_t delay = chaos_.revive_after_ns(epoch, r);
+  if (delay >= 0) {
+    down_.push_back(Down{r, epoch, Clock::now() + std::chrono::nanoseconds(delay)});
+  }
+}
+
+void Engine::bump_generation() {
+  generation_ = (generation_ + 1) & 0xFF;  // 8-bit field in the envelope tag
+  unrepaired_ = false;
+  live_count_ = 0;
+  for (const char d : dead_) live_count_ += (d == 0);
+  membership_ = MembershipView::over_survivors(dead_, generation_);
+}
+
+HealResult Engine::heal() {
+  HealResult result;
+  const Clock::time_point now = Clock::now();
+  std::erase_if(down_, [&](const Down& down) {
+    if (now < down.revive_at) return false;
+    dead_[static_cast<std::size_t>(down.rank)] = 0;
+    result.outages.push_back(sharded_->last_epoch() - down.crash_epoch + 1);
+    return true;
+  });
+  result.repaired = unrepaired_ || !result.outages.empty();
+  if (result.repaired) bump_generation();
+  return result;
 }
 
 bool Engine::repair_membership(const std::vector<topo::Rank>& newly_dead,
@@ -557,7 +546,7 @@ bool Engine::repair_membership(const std::vector<topo::Rank>& newly_dead,
           "change state");
     }
   };
-  bool changed = false;
+  bool changed = unrepaired_;
   for (const topo::Rank r : newly_dead) {
     check(r);
     auto& flag = dead_[static_cast<std::size_t>(r)];
@@ -575,17 +564,21 @@ bool Engine::repair_membership(const std::vector<topo::Rank>& newly_dead,
     changed |= (flag != 0);
     flag = 0;
   }
+  // A rank revived here no longer waits for its scheduled revival.
+  std::erase_if(down_, [&](const Down& down) {
+    return dead_[static_cast<std::size_t>(down.rank)] == 0;
+  });
   if (!changed) return false;
-
-  generation_ = (generation_ + 1) & 0xFF;  // 8-bit field in the envelope tag
-  live_count_ = 0;
-  for (const char d : dead_) live_count_ += (d == 0);
-  membership_ = MembershipView::over_survivors(dead_, generation_);
+  bump_generation();
   return true;
 }
 
 EpochResult Engine::run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout) {
-  return sharded_->run_epoch(protocol, dead_, generation_, timeout.count());
+  EpochResult result = sharded_->run_epoch(protocol, timeout.count());
+  if (options_.repair) {
+    for (const topo::Rank r : result.crashed_ranks) persist_crash(r, sharded_->last_epoch());
+  }
+  return result;
 }
 
 StreamResult Engine::run_stream(const ProtocolFactory& factory,

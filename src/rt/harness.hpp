@@ -40,8 +40,8 @@ struct HarnessResult {
   // --- recovery aggregates (measure_recovery only; zeros elsewhere) ---
   std::int64_t repairs = 0;          ///< effective membership rebuilds
   std::int64_t rejoins = 0;          ///< revived ranks that rejoined
-  std::int64_t replayed_epochs = 0;  ///< missed epochs caught up via the replay log
-  std::int64_t state_transfers = 0;  ///< rejoins whose outage outran the log
+  std::int64_t replayed_epochs = 0;  ///< missed epochs replayed (outage <= kReplayWindow)
+  std::int64_t state_transfers = 0;  ///< rejoins whose outage outran the replay window
   /// Epochs between the last injected fault (crash or rejoin) and the last
   /// degraded epoch — the convergence-k of DESIGN.md §4i. 0 = the service
   /// was already clean when the fault stream went quiet.
@@ -94,19 +94,19 @@ using MembershipProtocolFactory =
     std::function<std::unique_ptr<sim::Protocol>(const MembershipView& view)>;
 
 /// Self-healing variant of measure_broadcast for engines constructed with
-/// EngineOptions::repair. At every epoch boundary the harness consumes the
-/// previous epoch's degradation report, schedules revivals from the engine's
-/// ChaosPlan (revive_after_ns keyed by the epoch index the crash was
-/// detected in), and calls Engine::repair_membership so the next epoch runs
-/// over survivors only. Rejoins are served from a bounded sender-side replay
-/// log when it still covers the outage, and counted as state transfers
-/// otherwise; the log is truncated at quiescence (no rank down or pending).
-/// Recovery counters (repairs / rejoins / replayed_epochs / state_transfers)
-/// span the whole run including warmup — a recovery soak's faults don't
-/// pause for the measurement window — while latency aggregates keep the
-/// usual measured-only semantics. epochs_to_converge is the convergence-k:
-/// epochs between the last injected fault (crash or rejoin) and the last
-/// degraded epoch.
+/// EngineOptions::repair. Each epoch persists its crashes into the engine's
+/// membership as it retires; before every epoch the harness calls
+/// Engine::heal, which revives the ranks whose ChaosPlan revival came due
+/// and rebuilds the membership once, so the next epoch runs over survivors
+/// only. Each rejoin replays its outage when rejoin_replays() says the
+/// sender-side window still holds it, and counts as a state transfer
+/// otherwise. Recovery counters (repairs / rejoins / replayed_epochs /
+/// state_transfers) span the whole run including warmup — a recovery soak's
+/// faults don't pause for the measurement window — while latency aggregates
+/// keep the usual measured-only semantics. epochs_to_converge is the
+/// convergence-k: epochs between the last injected fault (crash or rejoin)
+/// and the last degraded epoch. The call leaves its last epoch's crashes
+/// persisted and their revivals pending in the engine.
 HarnessResult measure_recovery(Engine& engine,
                                const MembershipProtocolFactory& factory,
                                const HarnessOptions& options = {});

@@ -1,7 +1,5 @@
 #include "rt/membership.hpp"
 
-#include <stdexcept>
-
 namespace ct::rt {
 
 MembershipView MembershipView::identity(topo::Rank num_global) {
@@ -40,39 +38,6 @@ MembershipView MembershipView::over_survivors(const std::vector<char>& dead,
     view.live_.push_back(g);
   }
   return view;
-}
-
-void ReplayLog::append(std::int64_t epoch, std::int64_t payload) {
-  if (capacity_ == 0) return;
-  if (!records_.empty() && epoch <= records_.back().epoch) {
-    throw std::invalid_argument("ReplayLog: epochs must be appended in order");
-  }
-  if (records_.size() == capacity_) records_.pop_front();
-  records_.push_back(Record{epoch, payload});
-}
-
-bool ReplayLog::covers(std::int64_t epoch) const {
-  return !records_.empty() && epoch >= records_.front().epoch &&
-         epoch <= records_.back().epoch;
-}
-
-std::int64_t ReplayLog::payload_of(std::int64_t epoch) const {
-  if (!covers(epoch)) {
-    throw std::out_of_range("ReplayLog: epoch not covered");
-  }
-  // Appends are in epoch order but not necessarily contiguous (timed-out
-  // epochs are skipped), so scan; the log is small and this path only runs
-  // at a rejoin boundary.
-  for (const Record& rec : records_) {
-    if (rec.epoch == epoch) return rec.payload;
-  }
-  throw std::out_of_range("ReplayLog: epoch missing from covered range");
-}
-
-void ReplayLog::truncate_below(std::int64_t epoch) {
-  while (!records_.empty() && records_.front().epoch < epoch) {
-    records_.pop_front();
-  }
 }
 
 }  // namespace ct::rt

@@ -11,15 +11,15 @@
 // been launched with L processes, and RemapContext/RemappedProtocol
 // translate at the executor boundary.
 //
-// Membership only changes at epoch boundaries while the worker threads are
-// parked at the engine's barrier, so the view is immutable during an epoch
-// and can be shared by reference across workers. Each change bumps a
-// generation counter that the engines fold into the envelope tag, so
-// in-flight mail from a previous membership is dropped by generation, not
-// just by epoch (see rt::Envelope).
+// The Engine owns the one membership (engine.hpp) and changes it only at
+// an epoch boundary — between one-shot epochs, or at a stream admission —
+// never under an epoch that already launched, so a view is immutable while
+// a protocol runs over it and can be shared by reference across workers.
+// Each change bumps a generation counter that the engines fold into the
+// envelope tag, so in-flight mail from a previous membership is dropped by
+// generation, not just by epoch (see rt::Envelope).
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -154,58 +154,18 @@ class RemappedProtocol final : public sim::Protocol {
     inner_->on_timer(ctx_, view_->dense_of(me), id);
   }
 
-  sim::Protocol& inner() { return *inner_; }
-
  private:
   std::unique_ptr<sim::Protocol> inner_;
   RemapContext ctx_;
   const MembershipView* view_;
 };
 
-/// Bounded sender-side log of sealed epoch payloads, the rejoin half of the
-/// message-logging recipe (one record per epoch: this repo's collectives
-/// move one payload word, so "replay the missed messages" compresses to
-/// "replay the missed epoch payloads"). A revived rank whose whole outage
-/// is still covered catches up by replay; otherwise it takes a fresh-epoch
-/// state transfer. Truncated at epoch quiescence — when no rank is down,
-/// nothing can ever need the history (DESIGN.md §4i log truncation rule).
-class ReplayLog {
- public:
-  explicit ReplayLog(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Appends the sealed epoch's payload; evicts the oldest record when the
-  /// bound is hit (epochs are appended in order, so the log always covers a
-  /// contiguous suffix).
-  void append(std::int64_t epoch, std::int64_t payload);
-
-  /// True when `epoch` (and therefore every later epoch up to last_epoch())
-  /// is still in the log.
-  bool covers(std::int64_t epoch) const;
-
-  /// Payload recorded for `epoch`. Precondition: covers(epoch).
-  std::int64_t payload_of(std::int64_t epoch) const;
-
-  /// Drops records older than `epoch` (exclusive).
-  void truncate_below(std::int64_t epoch);
-
-  /// Quiescence truncation: drop everything.
-  void clear() { records_.clear(); }
-
-  std::size_t size() const noexcept { return records_.size(); }
-  std::int64_t first_epoch() const {
-    return records_.empty() ? -1 : records_.front().epoch;
-  }
-  std::int64_t last_epoch() const {
-    return records_.empty() ? -1 : records_.back().epoch;
-  }
-
- private:
-  struct Record {
-    std::int64_t epoch;
-    std::int64_t payload;
-  };
-  std::size_t capacity_;
-  std::deque<Record> records_;
-};
+/// One-shot rejoin rule (DESIGN.md §4i): senders retain the last
+/// kReplayWindow sealed epochs, so an outage (HealResult::outages) that fits
+/// replays the missed epochs, and a longer one takes a state transfer.
+constexpr std::int64_t kReplayWindow = 64;
+constexpr bool rejoin_replays(std::int64_t outage_epochs) noexcept {
+  return outage_epochs <= kReplayWindow;
+}
 
 }  // namespace ct::rt

@@ -296,7 +296,6 @@ class Stepper {
     chaos_ = plan;
     link_verdicts_ = link_verdicts;
   }
-  const ChaosPlan* chaos() const noexcept { return chaos_; }
 
   /// Sizes the rank arrays for `window` slots, frees every slot, latches
   /// the chaos hooks (so the no-chaos hot path costs two branch-on-false

@@ -32,6 +32,9 @@ class Options {
 
   bool has(const std::string& name) const;
 
+  /// The options given on the command line (or set()), by name.
+  const std::map<std::string, std::string>& given() const noexcept { return values_; }
+
   /// Positional (non-option) arguments in order of appearance.
   const std::vector<std::string>& positional() const noexcept { return positional_; }
 

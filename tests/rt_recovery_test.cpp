@@ -1,10 +1,13 @@
 // Self-healing membership tests (DESIGN.md §4i): revive-schedule
-// determinism, MembershipView / RemappedProtocol / ReplayLog units,
-// generation-tagged envelopes, epoch-boundary tree reparation over
-// survivors, the continuous crash+revive convergence soak on both
-// executors, and the streaming repair coordinator. Registered under the
-// `recovery-smoke` ctest label (also `sanitize`, so the asan/tsan presets
-// soak the repair paths).
+// determinism, MembershipView units, generation-tagged envelopes,
+// epoch-boundary tree reparation over survivors, the continuous
+// crash+revive convergence soak, streaming repair, and the Engine's one
+// membership: one-shot epochs and streams share its dead set and
+// generation, Engine::heal reports each rejoin's outage (replayed up to
+// kReplayWindow epochs, state-transferred beyond), and an explicit
+// revival leaves no revival pending. Registered under the `recovery-smoke`
+// ctest label (also `sanitize`, so the asan/tsan presets soak the repair
+// paths).
 
 #include <gtest/gtest.h>
 
@@ -136,69 +139,6 @@ TEST(MembershipView, AllRevivedCollapsesBackToIdentityButKeepsGeneration) {
   EXPECT_TRUE(view.is_identity());  // the no-failure fast path is restored
   EXPECT_EQ(view.generation(), 5);  // ... but stale mail still gets dropped
   EXPECT_EQ(view.num_live(), 8);
-}
-
-// --- replay log -------------------------------------------------------------
-
-TEST(ReplayLog, CoversAContiguousSuffixAndEvictsAtCapacity) {
-  ReplayLog log(4);
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_FALSE(log.covers(0));
-  for (std::int64_t e = 10; e < 16; ++e) log.append(e, e * 100);
-  EXPECT_EQ(log.size(), 4u);  // 10 and 11 evicted by the bound
-  EXPECT_EQ(log.first_epoch(), 12);
-  EXPECT_EQ(log.last_epoch(), 15);
-  EXPECT_FALSE(log.covers(11));
-  EXPECT_TRUE(log.covers(12));
-  EXPECT_TRUE(log.covers(15));
-  EXPECT_FALSE(log.covers(16));
-  EXPECT_EQ(log.payload_of(13), 1300);
-}
-
-TEST(ReplayLog, ChoosesReplayAtExactlyLogDepthAndTransferOneBeyond) {
-  // The measure_recovery rejoin decision is `log.covers(since_epoch)` at the
-  // boundary before epoch `idx`: one record is sealed per epoch, so a depth-D
-  // log holds [idx-D, idx-1] and the flip between "replay the outage" and
-  // "outage outran the log -> state transfer" sits exactly at outage == D.
-  // The rest of the suite covers only the far ends (64-deep always-replay
-  // soaks, streams that always transfer); this pins the boundary itself.
-  constexpr std::size_t kDepth = 8;
-  ReplayLog log(kDepth);
-  const std::int64_t idx = 40;  // rejoin boundary: epochs [0, idx) sealed
-  for (std::int64_t e = 0; e < idx; ++e) log.append(e, e * 10);
-  ASSERT_EQ(log.size(), kDepth);
-
-  // Outage of exactly kDepth epochs: crashed in idx-kDepth, missed
-  // [idx-kDepth, idx-1] — still covered, and every missed payload is
-  // reproducible, so replay is chosen.
-  const std::int64_t exact = idx - static_cast<std::int64_t>(kDepth);
-  EXPECT_TRUE(log.covers(exact));
-  for (std::int64_t e = exact; e < idx; ++e) {
-    EXPECT_EQ(log.payload_of(e), e * 10);
-  }
-
-  // One epoch longer and the first missed record has been evicted: replay
-  // would hand back a hole, so the harness must take the state transfer.
-  EXPECT_FALSE(log.covers(exact - 1));
-
-  // The boundary tracks eviction: sealing one more epoch shifts the flip
-  // point by one, atomically.
-  log.append(idx, idx * 10);
-  EXPECT_FALSE(log.covers(exact));
-  EXPECT_TRUE(log.covers(exact + 1));
-}
-
-TEST(ReplayLog, TruncatesAndRejectsOutOfOrderEpochs) {
-  ReplayLog log(16);
-  for (std::int64_t e = 0; e < 6; ++e) log.append(e, e);
-  log.truncate_below(4);
-  EXPECT_EQ(log.first_epoch(), 4);
-  EXPECT_TRUE(log.covers(5));
-  EXPECT_FALSE(log.covers(3));
-  EXPECT_THROW(log.append(2, 0), std::logic_error);  // epochs only move forward
-  log.clear();  // quiescence truncation
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_FALSE(log.covers(5));
 }
 
 // --- generation-tagged envelopes -------------------------------------------
@@ -445,13 +385,146 @@ TEST(StreamRepair, RetiresCorpsesAtAdmissionAndReadmitsRevived) {
   EXPECT_GT(result.rejoins, 0);
   EXPECT_EQ(result.state_transfers, result.rejoins);  // streams never replay
   std::int64_t dead_at_start = 0;
+  std::int64_t deliveries = 0;
   for (const StreamEpoch& epoch : result.raw.epochs) {
     dead_at_start += epoch.dead_at_start;
     // Corpses are excluded from the live set, never double-counted.
     EXPECT_LE(epoch.dead_at_start + epoch.crashed, procs);
+    deliveries += procs - epoch.dead_at_start - epoch.crashed - epoch.uncolored;
   }
   EXPECT_GT(dead_at_start, 0);
-  EXPECT_GT(result.deliveries, 0);
+  // Each epoch delivers to the ranks live at its own admission, however
+  // the membership moved by the end of the stream.
+  EXPECT_EQ(result.deliveries, deliveries);
+}
+
+// --- one membership per engine -----------------------------------------------
+
+std::unique_ptr<sim::Protocol> checked_broadcast(const topo::Tree& tree) {
+  return std::make_unique<proto::CorrectedTreeBroadcast>(
+      tree, make_correction(proto::CorrectionKind::kChecked));
+}
+
+// A crash persisted by a one-shot epoch is the next stream's corpse: the
+// stream starts from the engine's dead set (the rank is excluded, not
+// crashed again) and continues its generation instead of resetting both.
+TEST(OneMembership, OneShotCrashesPersistIntoTheNextStream) {
+  const Rank procs = 64;
+  EngineOptions options;
+  options.workers = 4;
+  options.repair = true;
+  Engine engine(procs, no_failures(procs), options);
+  ChaosPlan plan;
+  plan.kill_at_ns(9, 0);
+  plan.revive_after(9, -1);  // pinned dead for good
+  engine.set_chaos(std::move(plan));
+  const topo::Tree tree = topo::make_binomial_interleaved(procs);
+
+  const auto one_shot = checked_broadcast(tree);
+  const EpochResult epoch = engine.run_epoch(*one_shot, std::chrono::seconds(60));
+  EXPECT_EQ(epoch.crashed_ranks, std::vector<Rank>{9});
+  EXPECT_TRUE(engine.is_dead(9));
+
+  StreamOptions stream;
+  stream.epochs = 8;
+  stream.window = 2;
+  stream.epoch_timeout = std::chrono::seconds(60);
+  const StreamHarnessResult result =
+      measure_stream(engine, [&tree] { return checked_broadcast(tree); }, stream);
+  ASSERT_EQ(result.raw.epochs.size(), 8u);
+  EXPECT_EQ(result.deliveries, 8 * (procs - 1));
+  for (const StreamEpoch& streamed : result.raw.epochs) {
+    EXPECT_EQ(streamed.dead_at_start, 1) << "epoch " << streamed.epoch;
+    EXPECT_EQ(streamed.crashed, 0) << "epoch " << streamed.epoch;
+    EXPECT_EQ(streamed.uncolored, 0) << "epoch " << streamed.epoch;
+  }
+  // The first admission repaired the one-shot crash: one bump in all.
+  EXPECT_EQ(engine.generation(), 1);
+}
+
+// The replay/state-transfer boundary, through the code measure_recovery
+// runs: the outage Engine::heal reports and rejoin_replays. Rank 5 dies at
+// the start of every epoch it is live in and is due back at once, so N
+// epochs between two boundaries leave an outage of exactly N.
+TEST(OneMembership, OutageAtTheReplayWindowReplaysAndOneMoreTransfers) {
+  const Rank procs = 8;
+  EngineOptions options;
+  options.workers = 2;
+  options.repair = true;
+  Engine engine(procs, no_failures(procs), options);
+  ChaosPlan plan;
+  plan.kill_at_ns(5, 0);
+  plan.revive_after(5, 0);
+  engine.set_chaos(std::move(plan));
+  const topo::Tree tree = topo::make_binomial_interleaved(procs);
+
+  struct Case {
+    std::int64_t epochs;
+    bool replays;
+  };
+  for (const Case c : {Case{1, true}, Case{kReplayWindow, true},
+                       Case{kReplayWindow + 1, false}}) {
+    for (std::int64_t i = 0; i < c.epochs; ++i) {
+      const auto protocol = checked_broadcast(tree);
+      const EpochResult epoch = engine.run_epoch(*protocol, std::chrono::seconds(60));
+      ASSERT_FALSE(epoch.timed_out);
+      ASSERT_EQ(epoch.crashed_ranks.size(), i == 0 ? 1u : 0u);
+    }
+    const HealResult heal = engine.heal();
+    EXPECT_TRUE(heal.repaired);
+    ASSERT_EQ(heal.outages, std::vector<std::int64_t>{c.epochs});
+    EXPECT_EQ(rejoin_replays(heal.outages.front()), c.replays) << c.epochs;
+    EXPECT_FALSE(engine.is_dead(5));
+  }
+}
+
+// ct_bench's rt-checked-chaos warmup: measure_recovery, then revive every
+// rank it left dead, so the measured call starts from the full membership.
+// The last epoch's crash is already persisted, and the explicit revival
+// drops every pending revival, so the next boundary neither rejoins nor
+// repairs.
+TEST(OneMembership, RevivingEveryDeadRankAfterRecoveryLeavesNothingPending) {
+  const Rank procs = 64;
+  EngineOptions options;
+  options.workers = 4;
+  options.repair = true;
+  Engine engine(procs, no_failures(procs), options);
+  ChaosPlan plan;
+  plan.kill_at_ns(9, 0);
+  plan.revive_after(9, 0);  // back at every boundary, dies in every epoch
+  plan.kill_at_ns(17, 0);
+  plan.revive_after(17, std::int64_t{3600} * 1'000'000'000);  // still pending
+  engine.set_chaos(std::move(plan));
+
+  const topo::TreeSpec tree_spec;
+  std::unique_ptr<topo::Tree> tree;
+  const MembershipProtocolFactory factory =
+      [&](const MembershipView& view) -> std::unique_ptr<sim::Protocol> {
+    tree = std::make_unique<topo::Tree>(topo::make_survivor_tree(tree_spec, view.num_live()));
+    return checked_broadcast(*tree);
+  };
+  HarnessOptions harness;
+  harness.warmup = 0;
+  harness.iterations = 4;
+  harness.epoch_timeout = std::chrono::seconds(60);
+  const HarnessResult result = measure_recovery(engine, factory, harness);
+  EXPECT_EQ(result.timeouts, 0);
+  EXPECT_EQ(result.rejoins, 3);  // rank 9 at each boundary after the first
+
+  std::vector<Rank> dead;
+  for (Rank r = 1; r < procs; ++r) {
+    if (engine.is_dead(r)) dead.push_back(r);
+  }
+  EXPECT_EQ(dead, (std::vector<Rank>{9, 17}));
+  EXPECT_TRUE(engine.repair_membership({}, dead));
+  EXPECT_EQ(engine.live_count(), procs);
+  EXPECT_TRUE(engine.membership().is_identity());
+
+  const std::int32_t generation = engine.generation();
+  const HealResult heal = engine.heal();
+  EXPECT_FALSE(heal.repaired);
+  EXPECT_TRUE(heal.outages.empty());
+  EXPECT_EQ(engine.generation(), generation);
 }
 
 }  // namespace

@@ -382,6 +382,15 @@ TEST(SpecSmoke, SimReduceAndAllreduce) {
     EXPECT_EQ(record.incomplete, 0);
     EXPECT_TRUE(record.uncolored_survivors.empty());
   }
+
+  // An explicit sync= must not precede the gather deadline (76 at P=64):
+  // the result broadcast would arm its correction timers in the past.
+  EXPECT_THROW(run(parse_run_spec("allreduce:binomial:checked:sync@P=64,sync=5,exec=sim")),
+               std::invalid_argument);
+  const RunRecord at_deadline =
+      run(parse_run_spec("allreduce:binomial:checked:sync@P=64,sync=76,reps=20,exec=sim"));
+  EXPECT_EQ(at_deadline.runs, 20);
+  EXPECT_EQ(at_deadline.incomplete, 0);
 }
 
 TEST(SpecSmoke, RtShardedExecutorAllProtocols) {

@@ -189,7 +189,9 @@ TEST(Simulator, TimersFireAtRequestedTime) {
   };
   proto.on_timer_fn = [&](Context& ctx, Rank me, std::int64_t id) {
     fired.emplace_back(me, ctx.now());
-    if (id == 43) EXPECT_EQ(me, 1);
+    if (id == 43) {
+      EXPECT_EQ(me, 1);
+    }
   };
   Simulator simulator(p, FaultSet::none(4));
   simulator.run(proto);

@@ -10,13 +10,14 @@
 //
 // Examples:
 //   ct_sim "bcast:binomial:checked:overlapped@P=1024,f=2%,exec=sim"
-//   ct_sim --tree=lame:3 --correction=checked --start=sync --procs 65536 \
-//          --fault-rate 0.01 --reps 1000
+//   ct_sim --tree=lame:3 --correction=checked --start=sync --procs 65536 --fault-rate 0.01
 //   ct_sim --protocol=gossip --gossip-time 40 --procs 16384 --reps 50
-//   ct_sim --tree=binomial --correction=opportunistic --distance 2 \
-//          --L 4 --o 2 --bytes 16 --G 1 --csv
+//   ct_sim --correction=opportunistic --distance 2 --L 4 --o 2 --bytes 16 --G 1 --csv
 
+#include <algorithm>
+#include <array>
 #include <iostream>
+#include <string_view>
 
 #include "experiment/run_spec.hpp"
 #include "support/options.hpp"
@@ -36,6 +37,7 @@ void print_usage() {
   --correction=KIND              none, opportunistic, opportunistic-plain,
                                  checked, failure-proof, delayed [opportunistic]
   --distance N                   correction distance d        [4]
+  --delay N                      delayed correction's delay   [substrate default]
   --start=sync|overlapped        correction start mode        [overlapped]
   --left-only                    single-direction correction
   --gossip-time N                gossip budget (time-based)   [40]
@@ -43,9 +45,17 @@ void print_usage() {
   --faults N | --fault-rate F    failures per run             [0]
   --L --o --g --bytes --G --O    LogP / LogGP parameters      [2/1/1/1/0/0]
   --exec=sim|rt-sharded|rt-udp   executor substrate           [sim]
+  --workers N                    rt worker count unless exec= sets one [0 = auto]
   --csv                          machine-readable output (sim executor)
+  --help                         this text
 )";
 }
+
+/// The flags print_usage lists; any other --name is rejected.
+constexpr auto kFlags = std::to_array<std::string_view>(
+    {"spec", "collective", "protocol", "tree", "correction", "distance", "delay",
+     "start", "left-only", "gossip-time", "procs", "reps", "seed", "faults",
+     "fault-rate", "L", "o", "g", "bytes", "G", "O", "exec", "workers", "csv", "help"});
 
 ct::exp::RunSpec spec_from_flags(const ct::support::Options& options) {
   using namespace ct;
@@ -100,14 +110,19 @@ ct::exp::RunSpec spec_from_flags(const ct::support::Options& options) {
 
 int main(int argc, char** argv) {
   using namespace ct;
-  const support::Options options(argc, argv);
-  if (options.get_flag("help")) {
-    print_usage();
-    return 0;
-  }
-
+  support::Options options;
   exp::RunSpec spec;
   try {
+    options = support::Options(argc, argv);
+    for (const auto& [name, value] : options.given()) {
+      if (std::find(kFlags.begin(), kFlags.end(), name) == kFlags.end()) {
+        throw std::invalid_argument("unknown flag --" + name);
+      }
+    }
+    if (options.get_flag("help")) {
+      print_usage();
+      return 0;
+    }
     // --spec=STRING or a positional spec string.
     std::string text = options.get_string("spec", "");
     if (text.empty() && !options.positional().empty()) {
@@ -122,7 +137,13 @@ int main(int argc, char** argv) {
   }
 
   const support::ThreadPool pool;
-  const exp::RunRecord record = exp::run(spec, &pool);
+  exp::RunRecord record;
+  try {
+    record = exp::run(spec, &pool);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
 
   if (spec.executor != exp::Executor::kSim) {
     std::cout << "spec: " << record.spec << "\n"
