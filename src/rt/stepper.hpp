@@ -50,6 +50,15 @@ namespace ct::rt {
 // (work is resumed next pass), keeping the epoch deadline responsive.
 inline constexpr std::size_t kMaxChainedSends = 4;
 inline constexpr std::size_t kMaxStepReceives = 4096;
+/// Steps between a pass's in-pass checkpoints (a power of two): publish the
+/// staged cross-shard mail, then check the deadline. In the interleaved
+/// binomial tree every rank of shard 1 gets its tree message from shard 0,
+/// so mail held to the end of an 8,192-rank seed pass left shard 1 idle for
+/// that whole pass and then parked shard 0 behind a full 1,024-envelope
+/// ring. At 16Ki ranks on two shards this stride cut the rt-bcast p50 by
+/// about 40%; a 4,096-step stride kept only about half of that gain.
+inline constexpr std::size_t kStepCheckpoint = 1024;
+static_assert((kStepCheckpoint & (kStepCheckpoint - 1)) == 0);
 /// Largest stream window (StreamOptions::window).
 inline constexpr std::size_t kMaxWindow = 64;
 
@@ -377,7 +386,11 @@ class Stepper {
   /// `shard` takes on slot `w`'s epoch: arms the run queue, the crash watch
   /// and the slice's completion countdown. Every live rank is stepped once,
   /// so begin()-time outboxes, timers and coloring are noticed even if no
-  /// mail ever arrives.
+  /// mail ever arrives. The sweep is ascending over every live rank on
+  /// purpose: a parent in the interleaved binomial tree has the lower rank,
+  /// so one pass colors the shard's part of the tree while reading rank
+  /// state in order. Seeding only the ranks begin() touched measured a 2.5×
+  /// higher p50 at 16Ki ranks on two shards.
   void seed(Shard& shard, std::size_t w) {
     const Slot& slot = slots_[w];
     shard.seeded_epoch[w] = shard.staged_epoch[w];
@@ -419,14 +432,17 @@ class Stepper {
   }
 
   /// One scheduling pass's shared body: delayed release, crash watch, timer
-  /// watch, bounded stepping of the active set, staged flush. `deadline`
-  /// (engine time, 0 = none) cuts the step loop short and sets `expired`.
-  /// Returns whether the pass made progress.
+  /// watch, bounded stepping of the active set with a checkpoint every
+  /// kStepCheckpoint steps, staged flush. `deadline` (engine time, 0 =
+  /// none) is checked at each checkpoint; it cuts the step loop short and
+  /// sets `expired`. Returns whether the pass made progress.
   bool pass(Shard& shard, sim::Time deadline, bool& expired) {
     // Per-pass step bound: an activation cascade (each step re-arming the
     // ranks it delivered to) may otherwise run arbitrarily long before the
-    // next flush/drain/deadline checkpoint. A full slice's worth per slot
-    // keeps the pass no heavier than a sweep; leftovers stay queued.
+    // next drain. A full slice's worth per slot keeps the pass no heavier
+    // than a sweep; leftovers stay queued. Peers need not wait that long
+    // for their mail: the in-pass checkpoint publishes it every
+    // kStepCheckpoint steps.
     const std::size_t step_budget =
         std::max<std::size_t>(shard.live_ranks.size() * window_, 1024);
     bool progress = false;
@@ -456,12 +472,16 @@ class Stepper {
       // Receive/chained-send caps can leave backlog behind; re-arm so the
       // rank resumes without waiting for fresh mail.
       if (!fifo_[v].empty() || !outbox_[v].empty()) activate(shard, v);
-      // A pass can outlive the deadline by itself (thousands of active
-      // ranks, each draining capped-but-real backlogs), so the deadline is
-      // also checked on a stride *inside* the pass.
-      if (deadline > 0 && (stepped & 0x3FFu) == 0 && now() > deadline) {
-        expired = true;
-        break;
+      // In-pass checkpoint. Staged cross-shard mail goes out now, so other
+      // shards start on it while this pass runs on. Then the deadline: a
+      // pass can outlive it by itself (thousands of active ranks, each
+      // draining capped-but-real backlogs).
+      if ((stepped & (kStepCheckpoint - 1)) == 0) {
+        progress |= flush_staged(shard);
+        if (deadline > 0 && now() > deadline) {
+          expired = true;
+          break;
+        }
       }
     }
     if (shard.run_head > 0) {
@@ -685,9 +705,10 @@ class Stepper {
   }
 
   /// Same-shard destinations land directly; other endpoints' traffic is
-  /// staged per destination and flushed at pass end. Failed destinations
-  /// are dropped at the source, indistinguishable from success; mid-epoch
-  /// crashes are invisible here — the owner discards on the rank's behalf.
+  /// staged per destination and flushed at the pass's next checkpoint or
+  /// its end. Failed destinations are dropped at the source,
+  /// indistinguishable from success; mid-epoch crashes are invisible here —
+  /// the owner discards on the rank's behalf.
   void deliver(Shard& shard, const Envelope& envelope) {
     const auto dst = static_cast<std::size_t>(envelope.msg.dst);
     if (failed_[dst]) return;
@@ -764,9 +785,9 @@ class Stepper {
 
   /// Batch publish per destination with staged traffic — one send_batch
   /// call on the transport per staged block. A bounded transport accepts a
-  /// prefix; the leftover stays staged in order and is retried next pass,
-  /// preserving per-sender FIFO, so the chained-send bound and the epoch
-  /// deadline hold at any ring capacity.
+  /// prefix; the leftover stays staged in order and is retried at the next
+  /// checkpoint or pass end, preserving per-sender FIFO, so the chained-send
+  /// bound and the epoch deadline hold at any ring capacity.
   bool flush_staged(Shard& shard) {
     bool any = false;
     for (std::size_t d = 0; d < shard.staged.size(); ++d) {

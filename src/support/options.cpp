@@ -1,6 +1,7 @@
 #include "support/options.hpp"
 
 #include <cctype>
+#include <cstddef>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -11,6 +12,23 @@ namespace {
 bool is_truthy(const std::string& value) {
   return value.empty() || value == "1" || value == "true" || value == "yes" ||
          value == "on";
+}
+
+/// `parse` (std::stoll or std::stod) applied to all of option `name`'s
+/// value. Every way it can fail — not a number, out of range, trailing
+/// text — throws std::invalid_argument naming the option and the value.
+template <class Parse>
+auto parse_whole(const std::string& name, const std::string& value, const char* expects,
+                 Parse parse) {
+  try {
+    std::size_t pos = 0;
+    const auto parsed = parse(value, &pos);
+    if (pos == value.size()) return parsed;
+  } catch (const std::invalid_argument&) {
+  } catch (const std::out_of_range&) {
+  }
+  throw std::invalid_argument("option --" + name + " expects " + expects + ", got '" +
+                              value + "'");
 }
 
 }  // namespace
@@ -73,25 +91,17 @@ bool Options::has(const std::string& name) const { return lookup(name).has_value
 std::int64_t Options::get_int(const std::string& name, std::int64_t fallback) const {
   auto value = lookup(name);
   if (!value) return fallback;
-  std::size_t pos = 0;
-  const std::int64_t parsed = std::stoll(*value, &pos);
-  if (pos != value->size()) {
-    throw std::invalid_argument("option --" + name + " expects an integer, got '" +
-                                *value + "'");
-  }
-  return parsed;
+  return parse_whole(name, *value, "an integer", [](const std::string& text, std::size_t* pos) {
+    return static_cast<std::int64_t>(std::stoll(text, pos));
+  });
 }
 
 double Options::get_double(const std::string& name, double fallback) const {
   auto value = lookup(name);
   if (!value) return fallback;
-  std::size_t pos = 0;
-  const double parsed = std::stod(*value, &pos);
-  if (pos != value->size()) {
-    throw std::invalid_argument("option --" + name + " expects a number, got '" +
-                                *value + "'");
-  }
-  return parsed;
+  return parse_whole(name, *value, "a number", [](const std::string& text, std::size_t* pos) {
+    return std::stod(text, pos);
+  });
 }
 
 std::string Options::get_string(const std::string& name,

@@ -439,11 +439,12 @@ TEST(SurvivorAgreement, RtSurvivorsAgreeOnTheSurvivorOnlyReduction) {
   sim::LogP params;
   params.P = procs;
   // The gather forwards on LogP-timetable deadlines; under wall clock a
-  // tick is a microsecond, so widen the timetable to give live partials
-  // real slack. The value-exact assertion still has to stay one-sided
-  // (result <= survivor max): a slow live contribution can legitimately
-  // miss its parent's deadline on a loaded machine, which is the paper's
-  // deadline-driven semantics, not a bug. Sim pins exact agreement above.
+  // tick is a nanosecond (Stepper::now), so widen the timetable to give
+  // live partials some slack. The value-exact assertion still has to stay
+  // one-sided (result <= survivor max): a slow live contribution can
+  // legitimately miss its parent's deadline on a loaded machine, which is
+  // the paper's deadline-driven semantics, not a bug. Sim pins exact
+  // agreement above.
   params.L = 200;
   params.o = 50;
   params.g = 50;

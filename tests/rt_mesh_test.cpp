@@ -5,12 +5,14 @@
 // them (capacity-1 rings with the chained-send bound, crashed-rank discard
 // under chaos, shutdown while rings still hold mail),
 // backpressured-mesh vs sim outcome equality across the six correction
-// algorithms, and the EngineOptions validation the mesh added.
+// algorithms, the EngineOptions validation the mesh added, and the
+// stepper's in-pass checkpoint that publishes cross-shard mail.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,7 @@
 #include "protocol/tree_broadcast.hpp"
 #include "rt/engine.hpp"
 #include "rt/shard_queue.hpp"
+#include "rt/stepper.hpp"
 #include "support/rng.hpp"
 #include "topology/factory.hpp"
 
@@ -388,6 +391,81 @@ TEST(MeshOptions, WorkerCountIsClampedToRanksAndOversubscriptionCap) {
     EXPECT_GE(engine.worker_threads(), 1u);
     EXPECT_LE(engine.worker_threads(), std::min<std::size_t>(8, hw));
   }
+}
+
+// --- the stepper's in-pass checkpoint ---
+//
+// One shard stepped by hand over a fake Transport (the seam of DESIGN.md
+// §4j): no mesh, no threads, only the batches the pass publishes.
+
+/// Accepts every envelope and records each batch's size.
+class BatchRecorder final : public Transport {
+ public:
+  std::size_t send_batch(std::size_t /*from*/, std::size_t /*to*/,
+                         const Envelope* /*data*/, std::size_t n) override {
+    batches.push_back(n);
+    return n;
+  }
+  std::size_t poll_into(std::size_t /*to*/, const EnvelopeSink& /*sink*/) override {
+    return 0;
+  }
+  void park(std::size_t /*to*/, std::chrono::nanoseconds /*timeout*/) override {}
+  void kick(std::size_t /*to*/) override {}
+  void clear() override {}
+
+  std::vector<std::size_t> batches;
+};
+
+class NoOpDriver final : public Stepper::Driver {
+ public:
+  void slice_complete(Stepper::Shard& /*shard*/, Stepper::Slot& /*slot*/) override {}
+};
+
+/// begin() queues one send from every rank of the lower half to its
+/// partner in the upper half; nothing else ever happens.
+class SendsAcrossTheHalves final : public sim::Protocol {
+ public:
+  explicit SendsAcrossTheHalves(Rank half) : half_(half) {}
+  void begin(sim::Context& ctx) override {
+    for (Rank r = 0; r < half_; ++r) ctx.send(r, r + half_, sim::tag::kTree, r);
+  }
+  void on_receive(sim::Context& /*ctx*/, Rank /*me*/, const sim::Message& /*msg*/) override {}
+  void on_sent(sim::Context& /*ctx*/, Rank /*me*/, const sim::Message& /*msg*/) override {}
+
+ private:
+  Rank half_;
+};
+
+TEST(StepperCheckpoint, APassPublishesCrossShardMailAtEveryCheckpoint) {
+  // Shard 0 of two 4,096-rank slices seeds its slice and steps it in one
+  // pass; every step stages one envelope for shard 1. Mail held to the pass
+  // end goes out as one batch of 4,096, and shard 1 idles until then.
+  const Rank procs = 8192;
+  const std::size_t chunk = 4096;
+  const std::vector<char> failed(static_cast<std::size_t>(procs), 0);
+  BatchRecorder transport;
+  NoOpDriver driver;
+  Stepper stepper(procs, failed, chunk, 0, static_cast<Rank>(chunk), transport, driver);
+  Stepper::Shard shard(0, chunk, failed, /*endpoints=*/2);
+  SendsAcrossTheHalves protocol(static_cast<Rank>(chunk));
+
+  stepper.open_window(1);
+  Stepper::Slot& slot = stepper.slot(0);
+  slot.epoch = 1;
+  stepper.stage(shard, 0, 0, procs);
+  stepper.start_clock();
+  stepper.launch(slot, protocol, /*dead=*/nullptr, /*generation=*/0, /*timeout_ns=*/0);
+  stepper.seed(shard, 0);
+  bool expired = false;
+  EXPECT_TRUE(stepper.pass(shard, /*deadline=*/0, expired));
+  EXPECT_FALSE(expired);
+
+  std::size_t published = 0;
+  for (const std::size_t n : transport.batches) {
+    EXPECT_LE(n, kStepCheckpoint);
+    published += n;
+  }
+  EXPECT_EQ(published, chunk);
 }
 
 }  // namespace

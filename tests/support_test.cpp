@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "support/options.hpp"
 #include "support/rng.hpp"
@@ -252,9 +253,30 @@ TEST(Options, CommandLineOverridesEnvironment) {
 }
 
 TEST(Options, RejectsMalformedNumbers) {
-  Options opts;
-  opts.set("procs", "12abc");
-  EXPECT_THROW(opts.get_int("procs", 0), std::invalid_argument);
+  // Not a number, empty, out of range or trailing text: every failure is
+  // std::invalid_argument naming the option and the value.
+  const auto message_of = [](const auto& get) -> std::string {
+    try {
+      get();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no std::invalid_argument";
+  };
+  for (const std::string value : {"12abc", "abc", "", "99999999999999999999"}) {
+    SCOPED_TRACE("--procs=" + value);
+    Options opts;
+    opts.set("procs", value);
+    EXPECT_EQ(message_of([&] { opts.get_int("procs", 0); }),
+              "option --procs expects an integer, got '" + value + "'");
+  }
+  for (const std::string value : {"0.5x", "abc", "", "1e999"}) {
+    SCOPED_TRACE("--fault-rate=" + value);
+    Options opts;
+    opts.set("fault-rate", value);
+    EXPECT_EQ(message_of([&] { opts.get_double("fault-rate", 0.0); }),
+              "option --fault-rate expects a number, got '" + value + "'");
+  }
 }
 
 TEST(Options, EnvNameMapping) {
