@@ -73,18 +73,16 @@ std::int64_t cross_shard_storm(std::size_t num_shards, bool all_pairs) {
         std::vector<rt::Envelope> batch(kStormBatch, make_envelope(1));
         std::vector<rt::Envelope> marker(1, make_envelope(0));
         marker[0].msg.tag = sim::tag::kCorrection;
-        std::vector<rt::Envelope> drain;
         std::uint64_t rng = 0x9e3779b97f4a7c15ull ^ (s * 0xbf58476d1ce4e5b9ull);
         std::int64_t sent = 0;
         std::size_t done_seen = 0;
         const auto drain_own = [&] {
           for (std::size_t from = 0; from < num_shards; ++from) {
-            if (from != s) rings[from * num_shards + s].pop_all_into(drain);
+            if (from == s) continue;
+            rings[from * num_shards + s].consume_all([&](const rt::Envelope& e) {
+              if (e.msg.tag == sim::tag::kCorrection) ++done_seen;
+            });
           }
-          for (const rt::Envelope& e : drain) {
-            if (e.msg.tag == sim::tag::kCorrection) ++done_seen;
-          }
-          drain.clear();
         };
         const auto push_to = [&](std::size_t d, const std::vector<rt::Envelope>& data) {
           std::size_t off = 0;

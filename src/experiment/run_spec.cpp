@@ -1,10 +1,12 @@
 #include "experiment/run_spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -56,25 +58,17 @@ bool all_digits(const std::string& text) {
   return true;
 }
 
-std::int64_t parse_int(const std::string& key, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    bad_spec("'" + key + "' wants an integer, got '" + text + "'");
-  }
-}
-
-std::uint64_t parse_uint(const std::string& key, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    bad_spec("'" + key + "' wants an unsigned integer, got '" + text + "'");
+/// The one integer reader: `text` as a decimal of the field's own type, or
+/// an error naming `key` and that type's range — never a value narrowed to
+/// fit (P=4294967360 is an error, not P=64).
+template <class T>
+void read_int(T& field, const std::string& key, const std::string& text) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, field);
+  if (error != std::errc{} || stop != end) {
+    bad_spec("'" + key + "' wants an integer in [" +
+             std::to_string(std::numeric_limits<T>::min()) + ", " +
+             std::to_string(std::numeric_limits<T>::max()) + "], got '" + text + "'");
   }
 }
 
@@ -119,7 +113,7 @@ std::vector<topo::Rank> parse_rank_list(const std::string& key,
                                         const std::string& text) {
   std::vector<topo::Rank> out;
   for (const std::string& token : split(text, '+')) {
-    out.push_back(static_cast<topo::Rank>(parse_int(key, token)));
+    read_int(out.emplace_back(), key, token);
   }
   return out;
 }
@@ -129,23 +123,8 @@ bool opportunistic_kind(proto::CorrectionKind kind) {
          kind == proto::CorrectionKind::kOptimizedOpportunistic;
 }
 
-std::string executor_token(const RunSpec& spec) {
-  std::string out = executor_name(spec.executor);
-  if (spec.executor != Executor::kSim && spec.workers > 0) {
-    out += ":w=" + std::to_string(spec.workers);
-  }
-  if (spec.rt_mesh_capacity > 0) {
-    out += ":mesh-cap=" + std::to_string(spec.rt_mesh_capacity);
-  }
-  if (spec.rt_port_base > 0) {
-    out += ":port-base=" + std::to_string(spec.rt_port_base);
-  }
-  if (spec.rt_procs > 0) out += ":procs=" + std::to_string(spec.rt_procs);
-  return out;
-}
-
-}  // namespace
-
+/// One exec= token — "sim", "rt-sharded[:w=N][:mesh-cap=N]" or
+/// "rt-udp[:port-base=N][:procs=N]" — into spec.executor and the rt knobs.
 void parse_executor(const std::string& text, RunSpec& spec) {
   const std::vector<std::string> tokens = split(text, ':');
   const std::string& name = tokens[0];
@@ -163,32 +142,25 @@ void parse_executor(const std::string& text, RunSpec& spec) {
   }
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     if (tokens[i].rfind("w=", 0) == 0) {
-      spec.workers = static_cast<int>(parse_int("exec:w", tokens[i].substr(2)));
+      read_int(spec.workers, "exec:w", tokens[i].substr(2));
     } else if (tokens[i] == "inbox" || tokens[i] == "pin") {
       bad_spec("executor option ':" + tokens[i] + "' was removed (the locked "
                "inbox and thread pinning are gone); use exec=rt-sharded or "
                "exec=rt-udp");
     } else if (tokens[i].rfind("mesh-cap=", 0) == 0) {
-      spec.rt_mesh_capacity = parse_int("exec:mesh-cap", tokens[i].substr(9));
+      read_int(spec.rt_mesh_capacity, "exec:mesh-cap", tokens[i].substr(9));
       if (spec.rt_mesh_capacity < 1) {
         bad_spec("exec:mesh-cap must be >= 1");
       }
     } else if (tokens[i].rfind("port-base=", 0) == 0) {
-      spec.rt_port_base = parse_int("exec:port-base", tokens[i].substr(10));
+      read_int(spec.rt_port_base, "exec:port-base", tokens[i].substr(10));
     } else if (tokens[i].rfind("procs=", 0) == 0) {
-      spec.rt_procs = parse_int("exec:procs", tokens[i].substr(6));
+      read_int(spec.rt_procs, "exec:procs", tokens[i].substr(6));
     } else {
       bad_spec("unknown executor option '" + tokens[i] + "'");
     }
   }
-  // The remaining cross-checks (':mesh-cap' on rt-sharded only, ':port-base'
-  // and ':procs' on rt-udp only) are validate()'s; every caller validates.
-  if (spec.executor == Executor::kSim && spec.workers > 0) {
-    bad_spec("exec=sim takes no ':w=' worker count (pass a ThreadPool to run())");
-  }
-  if (spec.executor == Executor::kRtUdp && spec.workers > 0) {
-    bad_spec("exec=rt-udp counts worker *processes* via ':procs=', not ':w='");
-  }
+  // Which option suits which executor is validate()'s to check.
 }
 
 std::string collective_name(Collective c) {
@@ -221,6 +193,23 @@ std::string executor_name(Executor e) {
   }
   throw std::logic_error("unreachable executor");
 }
+
+std::string executor_token(const RunSpec& spec) {
+  std::string out = executor_name(spec.executor);
+  if (spec.executor != Executor::kSim && spec.workers > 0) {
+    out += ":w=" + std::to_string(spec.workers);
+  }
+  if (spec.rt_mesh_capacity > 0) {
+    out += ":mesh-cap=" + std::to_string(spec.rt_mesh_capacity);
+  }
+  if (spec.rt_port_base > 0) {
+    out += ":port-base=" + std::to_string(spec.rt_port_base);
+  }
+  if (spec.rt_procs > 0) out += ":procs=" + std::to_string(spec.rt_procs);
+  return out;
+}
+
+}  // namespace
 
 std::string RunSpec::to_string() const {
   std::string out = collective_name(collective);
@@ -306,14 +295,26 @@ RunSpec parse_run_spec(const std::string& text) {
   // Tree family; a following all-digit token is its arity ("kary" + "4").
   {
     std::string tree_text = tokens[i++];
-    if (i < tokens.size() && all_digits(tokens[i])) tree_text += ':' + tokens[i++];
+    if (i < tokens.size() && all_digits(tokens[i])) {
+      // Range-checked here: past int, parse_tree_spec's stoi would throw a
+      // bare std::out_of_range.
+      int arity = 0;
+      read_int(arity, "arity", tokens[i]);
+      tree_text += ':' + tokens[i++];
+    }
     spec.tree = topo::parse_tree_spec(tree_text);  // throws with its own message
   }
 
   if (i >= tokens.size()) bad_spec("missing correction kind in '" + head + "'");
   spec.correction.kind = proto::parse_correction_kind(tokens[i++]);
-  if (i < tokens.size() && all_digits(tokens[i])) {
-    spec.correction.distance = static_cast<int>(parse_int("distance", tokens[i++]));
+  // The ':<d>' distance, signed so that validate() names a negative one.
+  if (i < tokens.size() &&
+      all_digits(tokens[i].substr(tokens[i].starts_with('-') ? 1 : 0))) {
+    if (!opportunistic_kind(spec.correction.kind)) {
+      bad_spec("correction distance ':" + tokens[i] +
+               "' applies to the opportunistic kinds only");
+    }
+    read_int(spec.correction.distance, "distance", tokens[i++]);
   }
 
   if (i >= tokens.size()) bad_spec("missing correction start in '" + head + "'");
@@ -335,7 +336,7 @@ RunSpec parse_run_spec(const std::string& text) {
       const std::string key = pair.substr(0, eq);
       const std::string value = pair.substr(eq + 1);
       if (key == "P") {
-        spec.params.P = static_cast<topo::Rank>(parse_int(key, value));
+        read_int(spec.params.P, key, value);
       } else if (key == "proto") {
         if (value == "tree") {
           spec.protocol = ProtocolKind::kCorrectedTree;
@@ -347,71 +348,73 @@ RunSpec parse_run_spec(const std::string& text) {
           bad_spec("unknown protocol '" + value + "' (use tree|ack|gossip)");
         }
       } else if (key == "L") {
-        spec.params.L = parse_int(key, value);
+        read_int(spec.params.L, key, value);
       } else if (key == "o") {
-        spec.params.o = parse_int(key, value);
+        read_int(spec.params.o, key, value);
       } else if (key == "g") {
-        spec.params.g = parse_int(key, value);
+        read_int(spec.params.g, key, value);
       } else if (key == "G") {
-        spec.params.G = parse_int(key, value);
+        read_int(spec.params.G, key, value);
       } else if (key == "O") {
-        spec.params.O = parse_int(key, value);
+        read_int(spec.params.O, key, value);
       } else if (key == "bytes") {
-        spec.params.bytes = parse_int(key, value);
+        read_int(spec.params.bytes, key, value);
       } else if (key == "delay") {
-        spec.correction.delay = parse_int(key, value);
+        read_int(spec.correction.delay, key, value);
       } else if (key == "sync") {
-        spec.correction.sync_time = parse_int(key, value);
+        read_int(spec.correction.sync_time, key, value);
       } else if (key == "redundancy") {
-        spec.correction.redundancy = static_cast<int>(parse_int(key, value));
+        read_int(spec.correction.redundancy, key, value);
       } else if (key == "gossip-rounds") {
-        spec.gossip_rounds = parse_int(key, value);
+        read_int(spec.gossip_rounds, key, value);
       } else if (key == "gossip-time") {
-        spec.gossip_time = parse_int(key, value);
+        read_int(spec.gossip_time, key, value);
       } else if (key == "rdist") {
-        spec.reduce_distance = static_cast<int>(parse_int(key, value));
+        read_int(spec.reduce_distance, key, value);
       } else if (key == "faults") {
-        spec.faults.count = static_cast<topo::Rank>(parse_int(key, value));
+        read_int(spec.faults.count, key, value);
       } else if (key == "f") {
         spec.faults.fraction = parse_fraction(key, value);
       } else if (key == "gap") {
-        spec.faults.gap_limit = static_cast<int>(parse_int(key, value));
+        read_int(spec.faults.gap_limit, key, value);
       } else if (key == "kill") {
         spec.faults.kill = parse_rank_list(key, value);
       } else if (key == "chaos-seed") {
-        spec.faults.chaos_seed = parse_uint(key, value);
+        read_int(spec.faults.chaos_seed, key, value);
       } else if (key == "crash-frac") {
         spec.faults.crash_fraction = parse_fraction(key, value);
       } else if (key == "crash-window-us") {
-        spec.faults.crash_window_us = parse_int(key, value);
+        read_int(spec.faults.crash_window_us, key, value);
       } else if (key == "drop-prob") {
         spec.faults.drop_prob = parse_fraction(key, value);
       } else if (key == "delay-prob") {
         spec.faults.delay_prob = parse_fraction(key, value);
       } else if (key == "delay-us") {
-        spec.faults.delay_us = parse_int(key, value);
+        read_int(spec.faults.delay_us, key, value);
       } else if (key == "dup-prob") {
         spec.faults.duplicate_prob = parse_fraction(key, value);
       } else if (key == "repair") {
-        spec.faults.repair = parse_int(key, value) != 0;
+        std::int64_t repair = 0;
+        read_int(repair, key, value);
+        spec.faults.repair = repair != 0;
       } else if (key == "revive-frac") {
         spec.faults.revive_fraction = parse_fraction(key, value);
       } else if (key == "revive-after-us") {
-        spec.faults.revive_after_us = parse_int(key, value);
+        read_int(spec.faults.revive_after_us, key, value);
       } else if (key == "reps") {
-        spec.reps = parse_int(key, value);
+        read_int(spec.reps, key, value);
       } else if (key == "warmup") {
-        spec.warmup = parse_int(key, value);
+        read_int(spec.warmup, key, value);
       } else if (key == "seed") {
-        spec.seed = parse_uint(key, value);
+        read_int(spec.seed, key, value);
       } else if (key == "deadline-ms") {
-        spec.deadline_ms = parse_int(key, value);
+        read_int(spec.deadline_ms, key, value);
       } else if (key == "window") {
-        spec.window = parse_int(key, value);
+        read_int(spec.window, key, value);
       } else if (key == "rate") {
         spec.rate = parse_fraction(key, value);
       } else if (key == "chunk") {
-        spec.chunk = parse_int(key, value);
+        read_int(spec.chunk, key, value);
       } else if (key == "exec") {
         parse_executor(value, spec);
       } else {
@@ -424,11 +427,57 @@ RunSpec parse_run_spec(const std::string& text) {
   return spec;
 }
 
+namespace {
+
+/// The root's gather deadline in a sim allreduce over `tree`: the instant
+/// its result broadcast starts.
+sim::Time allreduce_gather_deadline(const RunSpec& spec, const topo::Tree& tree) {
+  const proto::CorrectedReduce reduce(
+      tree, spec.params, std::vector<std::int64_t>(static_cast<std::size_t>(spec.params.P)),
+      proto::ReduceConfig{spec.reduce_distance});
+  return reduce.forward_deadline(tree.root());
+}
+
+}  // namespace
+
 void RunSpec::validate() const {
   if (params.P < 1) bad_spec("P=<ranks> is required and must be >= 1");
   params.validate();
-  if (reps < 1) bad_spec("reps must be >= 1");
-  if (warmup < 0) bad_spec("warmup must be >= 0");
+  // Each integer axis's least value: below it a protocol constructor or the
+  // runtime would refuse the cell, or to_string() could not print it back.
+  const struct {
+    std::int64_t value;
+    std::int64_t least;
+    const char* key;
+  } floors[] = {
+      {reps, 1, "reps"},
+      {warmup, 0, "warmup"},
+      {correction.distance, 0, "correction distance (':<d>')"},
+      {correction.redundancy, 1, "redundancy"},
+      {correction.delay, 0, "delay"},
+      {correction.sync_time, 0, "sync"},
+      {gossip_rounds, 0, "gossip-rounds"},
+      {gossip_time, 1, "gossip-time"},
+      {reduce_distance, 0, "rdist"},
+      {faults.gap_limit, 0, "gap"},
+      {faults.crash_window_us, 0, "crash-window-us"},
+      {faults.delay_us, 0, "delay-us"},
+      {faults.revive_after_us, 0, "revive-after-us"},
+      {deadline_ms, 0, "deadline-ms"},
+      {chunk, 0, "chunk"},
+      {workers, 0, "exec:w"},
+  };
+  for (const auto& axis : floors) {
+    if (axis.value < axis.least) {
+      bad_spec(std::string(axis.key) + " must be >= " + std::to_string(axis.least));
+    }
+  }
+  if (executor == Executor::kSim && workers > 0) {
+    bad_spec("exec=sim takes no ':w=' worker count (pass a ThreadPool to run())");
+  }
+  if (executor == Executor::kRtUdp && workers > 0) {
+    bad_spec("exec=rt-udp counts worker *processes* via ':procs=', not ':w='");
+  }
   if (faults.fraction < 0.0 || faults.fraction >= 1.0) {
     bad_spec("static fault fraction must be in [0, 1)");
   }
@@ -448,7 +497,6 @@ void RunSpec::validate() const {
   if (faults.revive_fraction < 0.0 || faults.revive_fraction > 1.0) {
     bad_spec("revive-frac must be in [0, 1]");
   }
-  if (faults.revive_after_us < 0) bad_spec("revive-after-us must be >= 0");
   if (faults.repair && executor == Executor::kSim) {
     bad_spec("repair=1 persists crashes across wall-clock epochs; "
              "use exec=rt-sharded");
@@ -482,6 +530,17 @@ void RunSpec::validate() const {
     bad_spec("synchronized correction on a runtime needs an explicit sync=<ns> > 0; "
              "use :overlapped or set sync=");
   }
+  // Allreduce's result broadcast starts when the root's gather deadline
+  // fires; an explicit sync= before it would arm timers in the past.
+  if (executor == Executor::kSim && collective == Collective::kAllreduce &&
+      synchronized && correction.sync_time > 0) {
+    const sim::Time gather = allreduce_gather_deadline(*this, topo::make_tree(tree, params.P));
+    if (correction.sync_time < gather) {
+      bad_spec("sync=" + std::to_string(correction.sync_time) +
+               " is before allreduce's result broadcast starts; it must be at least " +
+               std::to_string(gather) + " (the root's gather deadline)");
+    }
+  }
   if (protocol == ProtocolKind::kGossip && faults.gap_limit > 0) {
     bad_spec("gap= placement limits need a tree protocol");
   }
@@ -505,7 +564,6 @@ void RunSpec::validate() const {
   // --- streaming axes ---
   if (window < 1 || window > 64) bad_spec("window must be in [1, 64]");
   if (rate < 0.0) bad_spec("rate must be >= 0");
-  if (chunk < 0) bad_spec("chunk must be >= 0");
   if (chunk > 0) {
     if (collective != Collective::kBroadcast || protocol == ProtocolKind::kGossip) {
       bad_spec("chunk= needs a tree broadcast (bcast, proto tree|ack)");
@@ -797,25 +855,16 @@ RunRecord run_sim_reduction(const RunSpec& spec) {
 
   // Allreduce's result broadcast starts when the root's gather deadline
   // fires, so a synchronized start defaults to that deadline plus the
-  // fault-free dissemination span (the one-shot broadcast's default), and
-  // an explicit sync= before the deadline would arm timers in the past.
+  // fault-free dissemination span (the one-shot broadcast's default);
+  // validate() rejects an explicit sync= before the deadline.
   proto::CorrectionConfig correction = spec.correction;
   default_delay(correction, spec.params, /*wall_clock=*/false);
   if (spec.collective == Collective::kAllreduce &&
       correction.kind != proto::CorrectionKind::kNone &&
-      correction.start == proto::CorrectionStart::kSynchronized) {
-    const proto::CorrectedReduce reduce(tree, spec.params, values,
-                                        proto::ReduceConfig{spec.reduce_distance});
-    const sim::Time gather = reduce.forward_deadline(tree.root());
-    if (correction.sync_time == 0) {
-      correction.sync_time =
-          gather + proto::fault_free_dissemination_time(tree, spec.params);
-    } else if (correction.sync_time < gather) {
-      throw std::invalid_argument(
-          "sync=" + std::to_string(correction.sync_time) +
-          " is before allreduce's result broadcast starts; it must be at least " +
-          std::to_string(gather) + " (the root's gather deadline)");
-    }
+      correction.start == proto::CorrectionStart::kSynchronized &&
+      correction.sync_time == 0) {
+    correction.sync_time = allreduce_gather_deadline(spec, tree) +
+                           proto::fault_free_dissemination_time(tree, spec.params);
   }
 
   std::int64_t total_messages = 0;

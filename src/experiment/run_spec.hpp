@@ -44,10 +44,6 @@ enum class Executor {
   kRtUdp,           ///< forked processes over loopback UDP perfect links
 };
 
-std::string collective_name(Collective c);
-Collective parse_collective(const std::string& text);
-std::string executor_name(Executor e);
-
 /// Unified fault model: the static pre-start failures both substrates share
 /// (sim::FaultSet sampling / rt::Engine's failed vector) plus the mid-run
 /// knobs (sim::FaultSet::dies_at ≙ rt::ChaosPlan). Link perturbations are
@@ -155,9 +151,10 @@ struct RunSpec {
   /// The sim-side Scenario this spec describes (broadcast collectives).
   Scenario to_scenario() const;
 
-  /// Throws std::invalid_argument for inconsistent axes (P missing, kill
-  /// list hitting the root, reduce on a runtime executor, ...). run() and
-  /// parse_run_spec() both validate.
+  /// Throws std::invalid_argument for any value run() would refuse or
+  /// to_string() could not print back (P missing, a negative distance,
+  /// kill list hitting the root, reduce on a runtime executor, ...), so a
+  /// spec that validates runs. run() and parse_run_spec() both validate.
   void validate() const;
 
   bool operator==(const RunSpec&) const = default;
@@ -165,22 +162,16 @@ struct RunSpec {
 
 /// Inverse of RunSpec::to_string(); accepts keys in any order plus a few
 /// input conveniences ("2%" fractions, "sync" aliases). Throws
-/// std::invalid_argument with a message naming the offending token.
+/// std::invalid_argument with a message naming the offending token,
+/// including an integer its field's type cannot hold, the retired
+/// thread-per-rank executor ("rt-tpr") and the ':inbox'/':pin' options.
 RunSpec parse_run_spec(const std::string& text);
-
-/// Parses one exec= token — "sim", "rt-sharded[:w=N][:mesh-cap=N]",
-/// "rt-udp[:port-base=N][:procs=N]" — into spec.executor and the rt knobs.
-/// The shared executor-name table for CLIs taking the executor as its own
-/// flag. Throws std::invalid_argument on unknown names or options, and
-/// names the removal for the retired thread-per-rank executor
-/// ("rt-tpr", "rt-thread-per-rank") and the ':inbox'/':pin' options.
-void parse_executor(const std::string& text, RunSpec& spec);
 
 /// Outcome of one RunSpec execution. One struct for both substrates, so
 /// sim and rt records of the same cell compare field by field.
 struct RunRecord {
   std::string spec;       ///< canonical spec string of the run
-  std::string executor;   ///< executor_name() of the substrate used
+  std::string executor;   ///< substrate used: "sim" | "rt-sharded" | "rt-udp"
   std::int64_t workers = 0;  ///< pool workers (sim) / engine threads (rt)
   std::int64_t runs = 0;     ///< measured replications / epochs
 

@@ -1,6 +1,5 @@
 #include "protocol/stream_mux.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -75,6 +74,7 @@ void StreamMux::begin(sim::Context& ctx) {
   waiting_.clear();
   in_flight_ = 0;
   next_closed_ = 0;
+  filling_ = false;
   retired_ = 0;
 
   if (options_.interval > 0) {
@@ -85,9 +85,7 @@ void StreamMux::begin(sim::Context& ctx) {
       ctx.set_timer(0, e * options_.interval, e * kStride);
     }
   } else {
-    // Closed loop: fill the window; each retirement admits the next.
-    const std::int64_t burst = std::min<std::int64_t>(options_.window, options_.epochs);
-    for (; next_closed_ < burst; ++next_closed_) admit(ctx, next_closed_);
+    fill_window(ctx);  // closed loop; each retirement admits the next
   }
 }
 
@@ -136,6 +134,19 @@ void StreamMux::admit(sim::Context& ctx, std::int64_t e) {
   instances_[static_cast<std::size_t>(e)]->begin(ectx);
 }
 
+/// Closed loop: admits the next epochs, in order, while the window has
+/// room. An epoch with no counted rank but the root retires inside its own
+/// admission; the nested call returns and this loop admits its successor,
+/// so no instance is replaced while it runs and the stack stays flat.
+void StreamMux::fill_window(sim::Context& ctx) {
+  if (filling_) return;
+  filling_ = true;
+  while (in_flight_ < options_.window && next_closed_ < options_.epochs) {
+    admit(ctx, next_closed_++);
+  }
+  filling_ = false;
+}
+
 void StreamMux::color(sim::Context& ctx, std::int64_t e, topo::Rank r) {
   std::vector<char>& bits = colored_[static_cast<std::size_t>(e)];
   if (bits[static_cast<std::size_t>(r)]) return;
@@ -160,8 +171,8 @@ void StreamMux::retire(sim::Context& ctx, std::int64_t e) {
       waiting_.pop_front();
       admit(ctx, next);
     }
-  } else if (next_closed_ < options_.epochs) {
-    admit(ctx, next_closed_++);
+  } else {
+    fill_window(ctx);
   }
 }
 

@@ -92,6 +92,7 @@ class StreamMux final : public sim::Protocol {
 
   void arrival(sim::Context& ctx, std::int64_t e);
   void admit(sim::Context& ctx, std::int64_t e);
+  void fill_window(sim::Context& ctx);
   void color(sim::Context& ctx, std::int64_t e, topo::Rank r);
   void retire(sim::Context& ctx, std::int64_t e);
 
@@ -107,6 +108,7 @@ class StreamMux final : public sim::Protocol {
   std::deque<std::int64_t> waiting_;  ///< offered while the window was full
   std::int32_t in_flight_ = 0;
   std::int64_t next_closed_ = 0;  ///< next unadmitted epoch (closed loop)
+  bool filling_ = false;          ///< fill_window() is on the stack
   std::int64_t retired_ = 0;
 };
 

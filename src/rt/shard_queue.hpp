@@ -7,7 +7,8 @@
 //    pushes and pops are straight-line code with no atomics or locks.
 //
 //  * StagedQueue — a shard's outgoing cross-shard envelopes per
-//    destination, staged during a pass and flushed at its end; the
+//    destination, staged during a pass and published at every step
+//    checkpoint (kStepCheckpoint, rt/stepper.hpp) and at the pass end; the
 //    backlog behind a full ring waits here, in order.
 //
 //  * SpscRing — cross-shard delivery. One bounded lock-free ring per
@@ -203,22 +204,6 @@ class SpscRing {
     return accepted;
   }
 
-  /// Consumer: appends every pending envelope to `out` (FIFO) and frees the
-  /// slots with one release store; returns how many were claimed.
-  std::size_t pop_all_into(std::vector<Envelope>& out) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return 0;
-    }
-    const auto pending = static_cast<std::size_t>(tail_cache_ - head);
-    for (std::size_t i = 0; i < pending; ++i) {
-      out.push_back(slots_[static_cast<std::size_t>(head + i) & mask_]);
-    }
-    head_.store(head + pending, std::memory_order_release);
-    return pending;
-  }
-
   /// Consumer: visits every pending envelope in FIFO order through `fn`
   /// (const reference into the ring slot — no intermediate copy) and frees
   /// the whole batch with one release store; returns how many were
@@ -237,13 +222,6 @@ class SpscRing {
     }
     head_.store(head + pending, std::memory_order_release);
     return pending;
-  }
-
-  /// Consumer-side poll: may this ring have mail? (Exact for the consumer —
-  /// only the producer moves tail past it.)
-  bool poll() const noexcept {
-    return tail_.load(std::memory_order_acquire) !=
-           head_.load(std::memory_order_relaxed);
   }
 
   /// Resets the ring between epochs. Caller must guarantee both sides are

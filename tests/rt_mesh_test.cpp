@@ -46,6 +46,12 @@ proto::CorrectionConfig make_correction(proto::CorrectionKind kind) {
   return config;
 }
 
+/// Appends every pending envelope of `ring` to `out` through the consumer
+/// path the engine uses; returns how many were claimed.
+std::size_t drain(SpscRing& ring, std::vector<Envelope>& out) {
+  return ring.consume_all([&](const Envelope& e) { out.push_back(e); });
+}
+
 TEST(SpscRing, CapacityRoundsUpToAPowerOfTwo) {
   EXPECT_EQ(SpscRing(0).capacity(), 1u);  // engine rejects 0; the ring clamps
   EXPECT_EQ(SpscRing(1).capacity(), 1u);
@@ -65,7 +71,7 @@ TEST(SpscRing, WrapAroundPreservesFifoAcrossManyGenerations) {
     for (int i = 0; i < 3; ++i) batch[i] = make_envelope(next_push + i);
     next_push += static_cast<std::int64_t>(ring.push_batch(batch, 3));
     out.clear();
-    ring.pop_all_into(out);
+    drain(ring, out);
     for (const Envelope& e : out) {
       ASSERT_EQ(e.msg.payload, next_pop);
       ++next_pop;
@@ -82,15 +88,14 @@ TEST(SpscRing, FullRingAcceptsAPrefixAndResumesAfterDrain) {
   // A full ring accepts exactly the free prefix — the producer keeps the
   // rest staged, which is the mesh's whole backpressure story.
   EXPECT_EQ(ring.push_batch(batch.data(), batch.size()), 4u);
-  EXPECT_TRUE(ring.poll());
   EXPECT_EQ(ring.push_batch(batch.data() + 4, 2), 0u);
   std::vector<Envelope> out;
-  EXPECT_EQ(ring.pop_all_into(out), 4u);
+  EXPECT_EQ(drain(ring, out), 4u);
   for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].msg.payload, i);
-  EXPECT_FALSE(ring.poll());
+  EXPECT_EQ(drain(ring, out), 0u);  // the drain emptied it
   EXPECT_EQ(ring.push_batch(batch.data() + 4, 2), 2u);
   out.clear();
-  EXPECT_EQ(ring.pop_all_into(out), 2u);
+  EXPECT_EQ(drain(ring, out), 2u);
   EXPECT_EQ(out[0].msg.payload, 4);
   EXPECT_EQ(out[1].msg.payload, 5);
 }
@@ -100,11 +105,10 @@ TEST(SpscRing, ClearResetsBothSides) {
   const Envelope e = make_envelope(7);
   ASSERT_EQ(ring.push_batch(&e, 1), 1u);
   ring.clear();
-  EXPECT_FALSE(ring.poll());
   std::vector<Envelope> out;
-  EXPECT_EQ(ring.pop_all_into(out), 0u);
+  EXPECT_EQ(drain(ring, out), 0u);
   EXPECT_EQ(ring.push_batch(&e, 1), 1u);  // indices restart cleanly
-  EXPECT_EQ(ring.pop_all_into(out), 1u);
+  EXPECT_EQ(drain(ring, out), 1u);
 }
 
 TEST(StagedQueue, KeepsOrderAcrossBlocksUnderPartialAccepts) {
@@ -162,7 +166,7 @@ TEST(SpscRing, TwoThreadStressKeepsStrictFifo) {
   std::int64_t received = 0;
   while (received < kTotal) {
     out.clear();
-    if (ring.pop_all_into(out) == 0) {
+    if (drain(ring, out) == 0) {
       std::this_thread::yield();
       continue;
     }
@@ -172,7 +176,7 @@ TEST(SpscRing, TwoThreadStressKeepsStrictFifo) {
     }
   }
   producer.join();
-  EXPECT_FALSE(ring.poll());
+  EXPECT_EQ(drain(ring, out), 0u);
 }
 
 TEST(MeshEngine, CapacityOneRingsCompleteUnderBackpressure) {

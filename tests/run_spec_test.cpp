@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "experiment/run_spec.hpp"
+#include "support/rng.hpp"
 
 namespace ct::exp {
 namespace {
@@ -241,6 +243,21 @@ TEST(RunSpecParse, RejectsMalformedSpecs) {
   expect_rejected("bcast:binomial:checked:overlapped@P=8,zzz=1", "unknown parameter");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,reps", "key=value");
   expect_rejected("bcast:binomial:checked:overlapped@P=abc", "integer");
+  // An integer past its field's type is rejected naming the key, never
+  // narrowed (P=4294967360 once ran as P=64).
+  expect_rejected("bcast:binomial:checked:overlapped@P=4294967360", "'P' wants an integer in");
+  expect_rejected("bcast:binomial:failure-proof:overlapped@P=8,redundancy=4294967297",
+                  "'redundancy' wants an integer in");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,faults=4294967298",
+                  "'faults' wants an integer in");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,kill=3+4294967299",
+                  "'kill' wants an integer in");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:w=4294967300",
+                  "'exec:w' wants an integer in");
+  expect_rejected("bcast:kary:4294967301:checked:overlapped@P=8", "'arity' wants an integer in");
+  // The ':<d>' head token belongs to the opportunistic kinds; elsewhere it
+  // would vanish from the canonical string.
+  expect_rejected("bcast:binomial:checked:4:overlapped@P=8", "opportunistic kinds only");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,f=banana", "number");
   expect_rejected("bcast:binomial:checked:overlapped@reps=3", "P=");
   // The unknown-executor diagnostic must enumerate the full valid set.
@@ -288,6 +305,30 @@ TEST(RunSpecParse, RejectsInconsistentAxes) {
   expect_rejected("bcast:binomial:checked:overlapped@P=8,f=1.5", "fraction");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,drop-prob=2", "probabilities");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,reps=0", "reps");
+  // Values exp::run or a protocol constructor would refuse later.
+  expect_rejected("bcast:binomial:opportunistic:-1:overlapped@P=8",
+                  "correction distance (':<d>') must be >= 0");
+  expect_rejected("bcast:binomial:failure-proof:overlapped@P=8,redundancy=0",
+                  "redundancy must be >= 1");
+  expect_rejected("bcast:binomial:delayed:overlapped@P=8,delay=-1", "delay must be >= 0");
+  expect_rejected("bcast:binomial:checked:sync@P=8,proto=gossip,gossip-time=0",
+                  "gossip-time must be >= 1");
+  expect_rejected("reduce:binomial:checked:overlapped@P=8,rdist=-1", "rdist must be >= 0");
+  expect_rejected("allreduce:binomial:checked:overlapped@P=8,rdist=-1", "rdist must be >= 0");
+  // Values to_string() could not print back.
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,proto=gossip,gossip-rounds=-2",
+                  "gossip-rounds must be >= 0");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,gap=-2", "gap must be >= 0");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:w=-3",
+                  "exec:w must be >= 0");
+  // Negative times that mean nothing.
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,deadline-ms=-5,exec=rt-sharded",
+                  "deadline-ms must be >= 0");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,crash-window-us=-5,exec=rt-sharded",
+                  "crash-window-us must be >= 0");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,delay-us=-5,exec=rt-sharded",
+                  "delay-us must be >= 0");
+  expect_rejected("bcast:binomial:checked:sync@P=8,sync=-4", "sync must be >= 0");
   expect_rejected("reduce:binomial:checked:overlapped@P=8,exec=rt-sharded",
                   "exec=sim");
   expect_rejected("reduce:binomial:checked:overlapped@P=8,proto=gossip",
@@ -385,8 +426,8 @@ TEST(SpecSmoke, SimReduceAndAllreduce) {
 
   // An explicit sync= must not precede the gather deadline (76 at P=64):
   // the result broadcast would arm its correction timers in the past.
-  EXPECT_THROW(run(parse_run_spec("allreduce:binomial:checked:sync@P=64,sync=5,exec=sim")),
-               std::invalid_argument);
+  // validate() refuses it, so the spec never reaches run().
+  expect_rejected("allreduce:binomial:checked:sync@P=64,sync=5,exec=sim", "gather deadline");
   const RunRecord at_deadline =
       run(parse_run_spec("allreduce:binomial:checked:sync@P=64,sync=76,reps=20,exec=sim"));
   EXPECT_EQ(at_deadline.runs, 20);
@@ -479,6 +520,162 @@ TEST(SpecSmoke, DeterministicUnderSim) {
   EXPECT_EQ(a.latency_p50, b.latency_p50);
   EXPECT_EQ(a.messages_per_process, b.messages_per_process);
   EXPECT_EQ(a.uncolored_survivors, b.uncolored_survivors);
+}
+
+// --- generated cells: the sim-only slice of the RunSpec fuzzer ------------
+
+/// Every numeric axis of a sim cell: the head's distance plus the keys.
+const std::vector<std::string> kNumericAxes = {
+    "P",     "distance",   "L",             "o",           "g",     "bytes",
+    "G",     "O",          "delay",         "sync",        "redundancy",
+    "gossip-rounds",       "gossip-time",   "rdist",       "faults", "f",
+    "gap",   "kill",       "reps",          "window",      "rate",  "chunk"};
+
+/// One exec=sim spec string over every head token and every sim key. Even
+/// cells draw valid values only; odd cells put one edge value — 0, -1 or
+/// 2^32 + k (the floor, the sign, narrowing past 32 bits) — on one axis,
+/// cycling through every (axis, edge) pair, and draw the head so that the
+/// axis matters (redundancy under failure-proof, rdist under a reduction,
+/// ...). reps stays in [1, 2], and so do the gossip budgets under
+/// proto=gossip: a 2^32 budget there is 2^32 sends per rank, a run length
+/// like reps, so those edges fall back to 0.
+std::string draw_sim_cell(support::Xoshiro256ss& rng, int cell) {
+  std::string axis;
+  int edge = -1;
+  if (cell % 2 == 1) {
+    const auto slot = static_cast<std::size_t>(cell / 2);
+    axis = kNumericAxes[slot % kNumericAxes.size()];
+    edge = static_cast<int>(slot / kNumericAxes.size() % 3);
+  }
+  const auto value = [&](const std::string& key, std::int64_t valid) {
+    if (key != axis) return std::to_string(valid);
+    if (edge == 0) return std::string("0");
+    if (edge == 1) return std::string("-1");
+    if (key == "reps" || key.starts_with("gossip-")) return std::string("0");
+    return std::to_string((std::int64_t{1} << 32) + rng.range(0, 64));
+  };
+  const auto pick = [&](std::initializer_list<const char*> options) {
+    return std::string(options.begin()[rng.below(options.size())]);
+  };
+
+  std::string collective = pick({"bcast", "bcast", "reduce", "allreduce"});
+  if (axis == "rdist") collective = pick({"reduce", "allreduce"});
+  const bool gossip = axis.starts_with("gossip-") || (collective == "bcast" && rng.chance(0.2));
+  if (gossip || axis == "window" || axis == "rate" || axis == "chunk") collective = "bcast";
+  std::string kind = pick({"none", "opportunistic", "opportunistic-plain", "checked",
+                           "failure-proof", "delayed"});
+  if (axis == "distance") kind = pick({"opportunistic", "opportunistic-plain"});
+  if (axis == "redundancy") kind = "failure-proof";
+  if (axis == "delay") kind = "delayed";
+
+  std::string text = collective;
+  const std::string tree =
+      pick({"binomial", "binomial-inorder", "kary", "kary-inorder", "lame", "optimal"});
+  text += ':' + tree;
+  if ((tree.starts_with("kary") || tree == "lame") && rng.chance(0.8)) {
+    text += ':' + std::to_string(rng.range(2, 4));
+  }
+  text += ':' + kind;
+  // The ':<d>' token belongs to the opportunistic kinds; a few draws put it
+  // elsewhere, where it must be refused.
+  if (axis == "distance" || rng.chance(kind.starts_with("opportunistic") ? 0.7 : 0.05)) {
+    text += ':' + value("distance", rng.range(0, 6));
+  }
+  text += ':' + (axis == "sync" ? std::string("sync") : pick({"sync", "overlapped"}));
+  if (rng.chance(0.25)) text += ":left";
+
+  const std::int64_t procs = rng.range(2, 64);
+  text += "@P=" + value("P", procs);
+  if (gossip) {
+    text += ",proto=gossip";
+  } else if (axis != "gap" && rng.chance(collective == "bcast" ? 0.3 : 0.05)) {
+    text += ",proto=" + pick({"tree", "ack"});
+  }
+  // Cross-axis rules refuse most streams off a tree broadcast and gap= off
+  // a tree, so those keys come rarely there.
+  const bool tree_bcast = collective == "bcast" && !gossip;
+  const auto maybe = [&](const char* key, const std::string& valid, double chance = 0.3) {
+    if (key == axis || rng.chance(chance)) text += std::string(",") + key + "=" + valid;
+  };
+  const auto maybe_int = [&](const char* key, std::int64_t lo, std::int64_t hi,
+                             double chance = 0.3) {
+    maybe(key, value(key, rng.range(lo, hi)), chance);
+  };
+  maybe_int("L", 0, 8);
+  maybe_int("o", 1, 4);
+  maybe_int("g", 0, 4);
+  maybe_int("bytes", 1, 4096);
+  maybe_int("G", 0, 2);
+  maybe_int("O", 0, 2);
+  maybe_int("delay", 1, 20);
+  maybe_int("sync", 1, 200);
+  maybe_int("redundancy", 1, 3);
+  maybe_int("gossip-rounds", 1, 8);
+  maybe_int("gossip-time", 1, 60);
+  maybe_int("rdist", 0, 3);
+  maybe_int("faults", 0, procs - 1);
+  maybe("f", axis == "f" ? value("f", 0) : pick({"0.05", "0.2", "2%", "0.5"}));
+  maybe_int("gap", 1, 8, gossip ? 0.05 : 0.3);
+  std::string kill = value("kill", rng.range(1, procs - 1));
+  if (rng.chance(0.5)) kill += '+' + std::to_string(rng.range(1, procs - 1));
+  maybe("kill", kill);
+  maybe_int("reps", 1, 2);
+  const double stream_chance = tree_bcast ? 0.3 : 0.05;
+  maybe_int("window", 1, 8, stream_chance);
+  maybe("rate", axis == "rate" ? value("rate", 0) : pick({"500", "20000", "1e6"}),
+        stream_chance);
+  maybe_int("chunk", 1, 4096, stream_chance);
+  return text + ",exec=sim";
+}
+
+TEST(RunSpecFuzz, ValidatedSimCellsRunAndRoundTrip) {
+  // The oracle (ROADMAP item 7): parse_run_spec either refuses a cell with
+  // std::invalid_argument, or the cell round-trips and runs. A cell that
+  // validate() accepts and run() refuses is a bug in one of the two.
+  support::Xoshiro256ss rng(0x5eedf022);
+  int accepted = 0;
+  for (int cell = 0; cell < 200; ++cell) {
+    const std::string text = draw_sim_cell(rng, cell);
+    const std::string replay = "replay: ct_sim \"" + text + "\"";
+    RunSpec spec;
+    try {
+      spec = parse_run_spec(text);
+    } catch (const std::invalid_argument&) {
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << replay << "\n  parse threw a non-invalid_argument: " << e.what();
+      continue;
+    }
+    ++accepted;
+    try {
+      EXPECT_EQ(parse_run_spec(spec.to_string()), spec) << replay;
+      run(spec);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << replay << "\n  " << e.what();
+    }
+  }
+  // Both halves of the oracle get exercised.
+  EXPECT_GE(accepted, 60);
+  EXPECT_LE(accepted, 170);
+
+  // validate() itself, not only the parser, refuses a negative distance in
+  // a spec built in code.
+  RunSpec spec = base_spec();
+  spec.correction.distance = -1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  // The generator's first find: a sim stream whose only live rank is the
+  // root retires each epoch inside its own admission, which once readmitted
+  // the running epoch and crashed.
+  for (const char* text :
+       {"bcast:binomial:opportunistic:4:overlapped@P=4,faults=3,reps=3,window=2,exec=sim",
+        "bcast:lame:checked:overlapped@P=4,kill=1+2+3,reps=2,chunk=1,exec=sim"}) {
+    SCOPED_TRACE(text);
+    const RunSpec stream = parse_run_spec(text);
+    const RunRecord record = run(stream);
+    EXPECT_EQ(record.runs, stream.reps);
+    EXPECT_EQ(record.incomplete, 0);
+  }
 }
 
 }  // namespace

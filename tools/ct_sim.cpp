@@ -1,23 +1,22 @@
-// ct_sim — general-purpose scenario runner: every collective, protocol,
-// tree, correction algorithm, LogP/LogGP parameter, fault model and
-// executor in this library from one command line. The Swiss-army knife
-// behind ad-hoc experiments that the figure benches don't cover.
-//
-// Every run is one exp::RunSpec cell (DESIGN.md §4e); pass the spec string
-// directly, or build one from flags. The canonical spec is echoed so any
-// run can be reproduced — including on the other substrate by just editing
-// its exec= parameter.
+// ct_sim — runs one exp::RunSpec cell (DESIGN.md §4e) on the substrate its
+// exec= names: every collective, protocol, tree, correction algorithm,
+// LogP/LogGP parameter, fault and chaos model and executor in this library,
+// stated in the one spec grammar. The canonical spec is echoed so any run
+// can be reproduced — including on the other substrate by editing exec=.
 //
 // Examples:
 //   ct_sim "bcast:binomial:checked:overlapped@P=1024,f=2%,exec=sim"
-//   ct_sim --tree=lame:3 --correction=checked --start=sync --procs 65536 --fault-rate 0.01
-//   ct_sim --protocol=gossip --gossip-time 40 --procs 16384 --reps 50
-//   ct_sim --correction=opportunistic --distance 2 --L 4 --o 2 --bytes 16 --G 1 --csv
+//   ct_sim "bcast:lame:3:checked:sync@P=65536,f=0.01,reps=100,exec=sim"
+//   ct_sim --csv "bcast:binomial:opportunistic:2:overlapped@P=4096,L=4,o=2,bytes=16,G=1"
+//   ct_sim "bcast:binomial:checked:overlapped@P=512,chaos-seed=7,crash-frac=0.02,drop-prob=0.01,reps=200,deadline-ms=500,exec=rt-sharded"
 
 #include <algorithm>
 #include <array>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "experiment/run_spec.hpp"
 #include "support/options.hpp"
@@ -27,83 +26,81 @@ namespace {
 
 void print_usage() {
   std::cout <<
-      R"(ct_sim — corrected-trees scenario runner
+      R"(ct_sim — corrected-trees scenario runner: one RunSpec cell per run
 
-  --spec "STRING"                full RunSpec cell; overrides all flags below
-  --collective=bcast|reduce|allreduce                          [bcast]
-  --protocol=tree|ack|gossip     protocol family               [tree]
-  --tree=SPEC                    binomial, binomial-inorder, kary:K,
-                                 kary-inorder:K, lame:K, optimal [binomial]
-  --correction=KIND              none, opportunistic, opportunistic-plain,
-                                 checked, failure-proof, delayed [opportunistic]
-  --distance N                   correction distance d        [4]
-  --delay N                      delayed correction's delay   [substrate default]
-  --start=sync|overlapped        correction start mode        [overlapped]
-  --left-only                    single-direction correction
-  --gossip-time N                gossip budget (time-based)   [40]
-  --procs N  --reps N  --seed N  scale                        [4096/100/..]
-  --faults N | --fault-rate F    failures per run             [0]
-  --L --o --g --bytes --G --O    LogP / LogGP parameters      [2/1/1/1/0/0]
-  --exec=sim|rt-sharded|rt-udp   executor substrate           [sim]
-  --workers N                    rt worker count unless exec= sets one [0 = auto]
-  --csv                          machine-readable output (sim executor)
-  --help                         this text
+usage: ct_sim [--csv] SPEC
+       ct_sim [--csv] --spec=SPEC
+
+  SPEC     collective:tree:correction[:d]:start[:left]@P=N[,key=value...]
+           e.g. "bcast:binomial:checked:overlapped@P=1024,f=2%,exec=sim";
+           DESIGN.md §4e lists every key and its default
+  --spec   the spec string, as an option
+  --csv    machine-readable percentile table (exec=sim)
+  --help   this text
 )";
 }
 
 /// The flags print_usage lists; any other --name is rejected.
-constexpr auto kFlags = std::to_array<std::string_view>(
-    {"spec", "collective", "protocol", "tree", "correction", "distance", "delay",
-     "start", "left-only", "gossip-time", "procs", "reps", "seed", "faults",
-     "fault-rate", "L", "o", "g", "bytes", "G", "O", "exec", "workers", "csv", "help"});
+constexpr auto kFlags = std::to_array<std::string_view>({"spec", "csv", "help"});
 
-ct::exp::RunSpec spec_from_flags(const ct::support::Options& options) {
-  using namespace ct;
-  exp::RunSpec spec;
-  spec.collective = exp::parse_collective(options.get_string("collective", "bcast"));
-  spec.params.L = options.get_int("L", 2);
-  spec.params.o = options.get_int("o", 1);
-  spec.params.g = options.get_int("g", spec.params.o);
-  spec.params.G = options.get_int("G", 0);
-  spec.params.O = options.get_int("O", 0);
-  spec.params.bytes = options.get_int("bytes", 1);
-  spec.params.P = static_cast<topo::Rank>(options.get_int("procs", 4096));
-
-  spec.tree = topo::parse_tree_spec(options.get_string("tree", "binomial"));
-  spec.correction.kind =
-      proto::parse_correction_kind(options.get_string("correction", "opportunistic"));
-  spec.correction.distance = static_cast<int>(options.get_int("distance", 4));
-  spec.correction.start =
-      proto::parse_correction_start(options.get_string("start", "overlapped"));
-  if (options.get_flag("left-only")) {
-    spec.correction.directions = proto::CorrectionDirections::kLeftOnly;
+void print_ranks(const std::vector<ct::topo::Rank>& ranks) {
+  std::cout << '[';
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    if (i) std::cout << ' ';
+    if (i == 16) {
+      std::cout << "...";
+      break;
+    }
+    std::cout << ranks[i];
   }
-  spec.correction.delay = options.get_int("delay", 0);  // 0 = substrate default
+  std::cout << ']';
+}
 
-  const std::string protocol = options.get_string("protocol", "tree");
-  if (protocol == "tree") {
-    spec.protocol = exp::ProtocolKind::kCorrectedTree;
-  } else if (protocol == "ack") {
-    spec.protocol = exp::ProtocolKind::kAckTree;
-  } else if (protocol == "gossip") {
-    spec.protocol = exp::ProtocolKind::kGossip;
-    spec.gossip_time = options.get_int("gossip-time", 40);
-  } else {
-    throw std::invalid_argument("unknown --protocol '" + protocol + "'");
+/// The runtime report. Exit 1 on incomplete epochs or timeouts, unless the
+/// spec injects chaos: there degraded epochs are the outcome under study,
+/// and a run that terminated and explained them succeeded.
+int report_runtime(const ct::exp::RunSpec& spec, const ct::exp::RunRecord& record) {
+  using ct::exp::Executor;
+  const bool udp = spec.executor == Executor::kRtUdp;
+  std::cout << "spec: " << record.spec << "\n"
+            << "executor           : " << record.executor << " (" << record.workers
+            << (udp ? " worker processes)\n" : " worker threads)\n")
+            << "iterations         : " << record.runs << "\n"
+            << "median latency     : " << record.latency_p50 << " us\n"
+            << "p99 latency        : " << record.latency_p99 << " us\n"
+            << "messages/process   : " << record.messages_per_process << "\n"
+            << "messages/s         : " << record.messages_per_sec << "\n"
+            << "incomplete epochs  : " << record.incomplete
+            << " (0 = every live rank colored every time)\n"
+            << "timeouts           : " << record.timeouts << "\n";
+  if (udp) {
+    std::cout << "retransmits        : " << record.retransmits
+              << " (perfect-links recoveries)\n"
+              << "duplicates dropped : " << record.dup_drops << "\n";
   }
-
-  spec.faults.count = static_cast<topo::Rank>(options.get_int("faults", 0));
-  spec.faults.fraction = options.get_double("fault-rate", 0.0);
-
-  spec.reps = options.get_int("reps", 100);
-  spec.seed = static_cast<std::uint64_t>(options.get_int("seed", 0x5eed5eed));
-
-  exp::parse_executor(options.get_string("exec", "sim"), spec);
-  if (spec.workers == 0) {
-    spec.workers = static_cast<int>(options.get_int("workers", 0));
+  const bool chaotic = spec.faults.chaos_enabled();
+  if (chaotic) {
+    std::cout << "degraded epochs    : " << record.epochs_degraded << " / " << record.runs
+              << "\n"
+              << "ranks crashed      : " << record.ranks_crashed << "\n"
+              << "dropped/delayed/dup: " << record.messages_dropped << "/"
+              << record.messages_delayed << "/" << record.messages_duplicated << "\n";
   }
-  if (spec.executor == exp::Executor::kSim) spec.workers = 0;
-  return spec;
+  if (spec.faults.repair) {
+    std::cout << "repairs            : " << record.repairs << "\n"
+              << "rejoins            : " << record.rejoins << " (" << record.replayed_epochs
+              << " epochs replayed, " << record.state_transfers << " state transfers)\n"
+              << "epochs to converge : " << record.epochs_to_converge
+              << " (epochs degraded past the last fault)\n";
+  }
+  if (record.epochs_degraded > 0) {
+    std::cout << "first epoch detail:\n  crashed mid-epoch  : ";
+    print_ranks(record.crashed_ranks);
+    std::cout << "\n  uncolored survivors: ";
+    print_ranks(record.uncolored_survivors);
+    std::cout << "\n";
+  }
+  return chaotic || (record.incomplete == 0 && record.timeouts == 0) ? 0 : 1;
 }
 
 }  // namespace
@@ -114,22 +111,32 @@ int main(int argc, char** argv) {
   exp::RunSpec spec;
   try {
     options = support::Options(argc, argv);
+    std::string unknown;
+    int unknown_count = 0;
     for (const auto& [name, value] : options.given()) {
       if (std::find(kFlags.begin(), kFlags.end(), name) == kFlags.end()) {
-        throw std::invalid_argument("unknown flag --" + name);
+        unknown += (unknown_count++ ? ", --" : " --") + name;
       }
+    }
+    if (unknown_count > 0) {
+      throw std::invalid_argument((unknown_count > 1 ? "unknown flags" : "unknown flag") +
+                                  unknown);
     }
     if (options.get_flag("help")) {
       print_usage();
       return 0;
     }
-    // --spec=STRING or a positional spec string.
-    std::string text = options.get_string("spec", "");
-    if (text.empty() && !options.positional().empty()) {
-      text = options.positional().front();
+    // --spec=STRING or one positional spec string (--spec STRING leaves the
+    // string positional; see support::Options conventions).
+    std::vector<std::string> texts = options.positional();
+    if (const std::string text = options.get_string("spec", ""); !text.empty()) {
+      texts.push_back(text);
     }
-    spec = text.empty() ? spec_from_flags(options) : exp::parse_run_spec(text);
-    spec.validate();
+    if (texts.size() != 1) {
+      throw std::invalid_argument("ct_sim takes exactly one spec string, got " +
+                                  std::to_string(texts.size()));
+    }
+    spec = exp::parse_run_spec(texts.front());
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     print_usage();
@@ -145,20 +152,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (spec.executor != exp::Executor::kSim) {
-    std::cout << "spec: " << record.spec << "\n"
-              << "executor          : " << record.executor << " (" << record.workers
-              << (spec.executor == exp::Executor::kRtUdp ? " worker processes)\n"
-                                                         : " worker threads)\n")
-              << "iterations        : " << record.runs << "\n"
-              << "median latency    : " << record.latency_p50 << " us\n"
-              << "p99 latency       : " << record.latency_p99 << " us\n"
-              << "messages/process  : " << record.messages_per_process << "\n"
-              << "messages/s        : " << record.messages_per_sec << "\n"
-              << "incomplete epochs : " << record.incomplete << "\n"
-              << "timeouts          : " << record.timeouts << "\n";
-    return (record.incomplete == 0 && record.timeouts == 0) ? 0 : 1;
-  }
+  if (spec.executor != exp::Executor::kSim) return report_runtime(spec, record);
 
   const exp::Aggregate& agg = record.aggregate;
   support::Table table({"metric", "mean", "p5", "p50", "p95", "max"});
