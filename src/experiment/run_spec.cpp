@@ -438,6 +438,14 @@ sim::Time allreduce_gather_deadline(const RunSpec& spec, const topo::Tree& tree)
   return reduce.forward_deadline(tree.root());
 }
 
+/// Ceiling of the runtime's time keys: one day. The runtime scales them to
+/// nanoseconds (make_chaos_plan multiplies the *-us keys by 1,000; the
+/// harness turns deadline-ms into nanoseconds, and the rt-udp watchdog
+/// doubles that), then adds clock readings; a day is 8.64e13 ns, far inside
+/// int64_t.
+constexpr std::int64_t kOneDayMs = 86'400'000;
+constexpr std::int64_t kOneDayUs = 1'000 * kOneDayMs;
+
 }  // namespace
 
 void RunSpec::validate() const {
@@ -445,11 +453,13 @@ void RunSpec::validate() const {
   params.validate();
   // Each integer axis's least value: below it a protocol constructor or the
   // runtime would refuse the cell, or to_string() could not print it back.
+  // The runtime's time keys also have a greatest value.
   const struct {
     std::int64_t value;
     std::int64_t least;
     const char* key;
-  } floors[] = {
+    std::int64_t most = std::numeric_limits<std::int64_t>::max();
+  } bounds[] = {
       {reps, 1, "reps"},
       {warmup, 0, "warmup"},
       {correction.distance, 0, "correction distance (':<d>')"},
@@ -460,16 +470,19 @@ void RunSpec::validate() const {
       {gossip_time, 1, "gossip-time"},
       {reduce_distance, 0, "rdist"},
       {faults.gap_limit, 0, "gap"},
-      {faults.crash_window_us, 0, "crash-window-us"},
-      {faults.delay_us, 0, "delay-us"},
-      {faults.revive_after_us, 0, "revive-after-us"},
-      {deadline_ms, 0, "deadline-ms"},
+      {faults.crash_window_us, 0, "crash-window-us", kOneDayUs},
+      {faults.delay_us, 0, "delay-us", kOneDayUs},
+      {faults.revive_after_us, 0, "revive-after-us", kOneDayUs},
+      {deadline_ms, 0, "deadline-ms", kOneDayMs},
       {chunk, 0, "chunk"},
       {workers, 0, "exec:w"},
   };
-  for (const auto& axis : floors) {
+  for (const auto& axis : bounds) {
     if (axis.value < axis.least) {
       bad_spec(std::string(axis.key) + " must be >= " + std::to_string(axis.least));
+    }
+    if (axis.value > axis.most) {
+      bad_spec(std::string(axis.key) + " must be <= " + std::to_string(axis.most));
     }
   }
   if (executor == Executor::kSim && workers > 0) {

@@ -32,8 +32,9 @@ constexpr std::int64_t kCoordinatorGraceNs = 250'000'000;
 /// A worker with no END after 2x timeout + this presumes the coordinator
 /// dead and self-advances as timed out, so the run always terminates.
 constexpr std::int64_t kWatchdogGraceNs = 500'000'000;
-/// Idle park of a worker pass. UdpTransport::park wakes on a datagram and at
-/// the next retransmit deadline, so a shorter slice only adds wakeups.
+/// Idle park of a worker pass, honoured at nanosecond precision.
+/// UdpTransport::park also wakes on a datagram and at the next retransmit
+/// deadline, so a shorter slice only adds wakeups.
 constexpr std::chrono::microseconds kIdlePark{500};
 
 struct SliceHead {
@@ -56,7 +57,6 @@ struct EpochRecord {
 struct LinkTally {
   std::int64_t retransmits = 0;
   std::int64_t dup_drops = 0;
-  std::int64_t datagrams_sent = 0;
   std::int64_t chaos_dropped = 0;
   std::int64_t chaos_delayed = 0;
   std::int64_t chaos_duplicated = 0;
@@ -115,9 +115,9 @@ class UdpWorker final : private Stepper::Driver {
         return false;
       }
     }
-    const LinkTally link{transport_.retransmits(),   transport_.dup_drops(),
-                         transport_.datagrams_sent(), transport_.chaos_dropped(),
-                         transport_.chaos_delayed(),  transport_.chaos_duplicated()};
+    const LinkTally link{transport_.retransmits(), transport_.dup_drops(),
+                         transport_.chaos_dropped(), transport_.chaos_delayed(),
+                         transport_.chaos_duplicated()};
     return support::write_all(fd, &link, sizeof(link)) &&
            support::write_all(fd, &wall_seconds_, sizeof(wall_seconds_));
   }

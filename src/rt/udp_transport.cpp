@@ -6,15 +6,20 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <ctime>
 
 namespace ct::rt {
 
 namespace {
 
-/// First retransmit of an unacked datagram, doubled per retry up to the cap.
+/// First timer retransmit of an unacked datagram, doubled per retry up to
+/// the cap. An ack that exposes the frame as lost resends it sooner.
 constexpr std::int64_t kRetransmitBaseNs = 2'000'000;
 constexpr std::int64_t kRetransmitCapNs = 100'000'000;
+/// Longest single park, whatever the caller's timeout.
+constexpr std::int64_t kMaxParkNs = 100'000'000;
 
 /// Refreshes the piggybacked ack fields of an already-framed datagram in
 /// place — retransmitted frames must carry the *current* receive state, or
@@ -51,15 +56,23 @@ void UdpTransport::apply_acks(Peer& peer, std::uint32_t ack_cum,
     peer.window.pop_front();
   }
   if (ack_bits == 0) return;
+  // Offset of the highest seq the peer holds: bit i acks ack_cum + 1 + i.
+  const auto highest = static_cast<std::uint32_t>(64 - std::countl_zero(ack_bits));
   // Selective acks retire frames out of order; the cumulative pops above do
   // the bulk, so the erase-in-the-middle here stays rare.
   for (auto it = peer.window.begin(); it != peer.window.end();) {
     const std::uint32_t offset = it->seq - ack_cum;  // >= 1 after the pops above
     if (offset <= 64 && ((ack_bits >> (offset - 1)) & 1u) != 0) {
       it = peer.window.erase(it);
-    } else {
-      ++it;
+      continue;
     }
+    // A later seq arrived and this one did not: it was lost. Resend it at
+    // the next flush instead of at its timer.
+    if (offset < highest && !it->hole_resent) {
+      it->hole_resent = true;
+      it->next_retx_ns = 0;
+    }
+    ++it;
   }
 }
 
@@ -113,13 +126,14 @@ void UdpTransport::park(std::size_t to, std::chrono::nanoseconds timeout) {
   if (deadline >= 0) {
     wait_ns = std::min(wait_ns, std::max<std::int64_t>(deadline - now_ns(), 0));
   }
-  const int wait_ms = static_cast<int>(
-      std::clamp<std::int64_t>((wait_ns + 999'999) / 1'000'000, 0, 100));
-  if (wait_ms == 0) return;
+  wait_ns = std::min(wait_ns, kMaxParkNs);
+  if (wait_ns <= 0) return;
+  const timespec wait{static_cast<time_t>(wait_ns / 1'000'000'000),
+                      static_cast<long>(wait_ns % 1'000'000'000)};
   struct pollfd pfd {};
   pfd.fd = options_.fd;
   pfd.events = POLLIN;
-  ::poll(&pfd, 1, wait_ms);
+  ::ppoll(&pfd, 1, &wait, nullptr);
 }
 
 std::int64_t UdpTransport::next_deadline_ns() const {

@@ -4,12 +4,16 @@
 // Transport seam becomes "peer process": each rt-udp worker owns one
 // nonblocking loopback socket, stages outgoing envelopes per peer, packs
 // them into datagrams at flush time, and recovers loss with per-peer
-// sequence numbers, a sliding retransmit window with exponential backoff,
-// piggybacked cumulative + selective acks, and (peer, seq) dedup — the
-// perfect-links contract (no loss, no duplication) the unchanged
-// sim::Protocol state machines assume, without FIFO ordering they never
-// needed (the in-process executor already delivers cross-rank mail out of
-// order).
+// sequence numbers, a sliding retransmit window, piggybacked cumulative +
+// selective acks, and (peer, seq) dedup. A frame is resent as soon as an
+// ack shows the peer holding a later seq: loopback keeps one sender's
+// frames in order, so a skipped frame is a lost one (a merely late one —
+// chaos delay-prob — arrives twice, and dedup drops the copy). A 2 ms timer
+// with exponential backoff recovers the loss that nothing later exposes
+// (tail loss). Together that is the perfect-links contract (no loss, no
+// duplication) the unchanged sim::Protocol state machines assume, without
+// FIFO ordering they never needed (the in-process executor already
+// delivers cross-rank mail out of order).
 //
 // Datagram layout (host byte order — the transport is loopback-only):
 //
@@ -93,8 +97,9 @@ class UdpTransport final : public Transport {
   /// Receives every datagram currently queued on the socket, processes
   /// acks, dedups, and delivers fresh data envelopes through `sink`.
   std::size_t poll_into(std::size_t to, const EnvelopeSink& sink) override;
-  /// Parks on the socket via poll(2); the timeout is clamped to the next
-  /// retransmit/chaos-release deadline so reliability work never oversleeps.
+  /// Parks on the socket via ppoll(2) at nanosecond precision, for at most
+  /// 100 ms; the timeout is clamped to the next retransmit/chaos-release
+  /// deadline so reliability work never oversleeps.
   void park(std::size_t to, std::chrono::nanoseconds timeout) override;
   /// No cross-thread waiters exist — the owning worker is the only thread.
   void kick(std::size_t to) override { static_cast<void>(to); }
@@ -128,6 +133,7 @@ class UdpTransport final : public Transport {
   /// fields are refreshed in place on each retry).
   struct Unacked {
     std::uint32_t seq = 0;
+    bool hole_resent = false;  ///< an ack's hole already made it due once
     std::vector<std::uint8_t> frame;
     std::int64_t next_retx_ns = 0;
     std::int64_t backoff_ns = 0;
@@ -157,6 +163,9 @@ class UdpTransport final : public Transport {
   /// Earliest pending retransmit/chaos-release deadline; -1 when none.
   std::int64_t next_deadline_ns() const;
   void pack_staged(Peer& peer, std::size_t peer_index, std::int64_t now);
+  /// Retires the frames the peer acknowledged and makes every unacked frame
+  /// below the highest selectively acked seq due at the next flush (once
+  /// per frame; the timer recovers a lost resend).
   void apply_acks(Peer& peer, std::uint32_t ack_cum, std::uint64_t ack_bits);
   /// Chaos-audited raw datagram send (the socket boundary).
   void transmit(std::size_t peer_index, const std::uint8_t* data, std::size_t len,

@@ -11,12 +11,14 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -203,6 +205,104 @@ TEST(UdpTransport, WindowBoundsInFlightDatagrams) {
       std::chrono::seconds(10));
   EXPECT_EQ(seen.size() + rest.size(), static_cast<std::size_t>(kCount));
   EXPECT_TRUE(pair.a->idle());
+}
+
+TEST(UdpTransport, ParkHonoursSubMillisecondTimeouts) {
+  TransportPair pair;
+  if (!pair.open()) GTEST_SKIP() << "no loopback sockets in this sandbox";
+
+  // An idle transport has no retransmit or release deadline, so a park waits
+  // out its whole timeout — which must not round up to a millisecond.
+  std::vector<std::int64_t> waits_us;
+  for (int i = 0; i < 21; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    pair.a->park(0, std::chrono::microseconds(200));
+    waits_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::nth_element(waits_us.begin(), waits_us.begin() + 10, waits_us.end());
+  EXPECT_LT(waits_us[10], 800) << "median of 21 parks of 200 us";
+}
+
+/// Waits up to `wait_ms` for a datagram on `fd`; true when one is queued.
+bool readable(int fd, int wait_ms) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  return ::poll(&pfd, 1, wait_ms) == 1;
+}
+
+/// The seq of the next datagram on `fd` within `wait_ms`; -1 when none came.
+std::int64_t next_seq(int fd, int wait_ms) {
+  std::uint8_t buffer[kMaxDatagramBytes];
+  if (!readable(fd, wait_ms)) return -1;
+  if (::recv(fd, buffer, sizeof(buffer), 0) < static_cast<ssize_t>(sizeof(UdpHeader))) {
+    return -1;
+  }
+  UdpHeader header;
+  std::memcpy(&header, buffer, sizeof(header));
+  return header.seq;
+}
+
+/// Sends peer 0 an ack-only frame from peer 1, as peer 1's transport would.
+void send_ack(int fd, std::uint16_t to_port, std::uint32_t ack_cum, std::uint64_t ack_bits) {
+  UdpHeader header;
+  header.magic = kUdpMagic;
+  header.src = 1;
+  header.kind = kUdpAckOnly;
+  header.ack_cum = ack_cum;
+  header.ack_bits = ack_bits;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(to_port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ::sendto(fd, &header, sizeof(header), 0, reinterpret_cast<const sockaddr*>(&addr),
+           sizeof(addr));
+}
+
+TEST(UdpTransport, SelectiveAckHoleRetransmitsAtTheNextFlush) {
+  // A sends three datagrams (seq 1-3) to a raw socket standing in for peer 1.
+  // An ack that holds seq 2 but not seq 1 exposes seq 1 as lost, so A's next
+  // flush resends it, and only it: no acked seq lies past seq 3. The same
+  // ack again resends nothing. The 2 ms retransmit timer would resend every
+  // frame if the test stalled past it, so such an attempt proves nothing and
+  // is retried on fresh sockets.
+  auto drop = [](const Envelope&) {};
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    TransportPair pair;
+    if (!pair.open()) GTEST_SKIP() << "no loopback sockets in this sandbox";
+    UdpTransport& a = *pair.a;
+    const int raw = pair.sock_b.fd;
+
+    std::vector<Envelope> batch;
+    for (std::size_t i = 0; i < 3 * kMaxEnvelopesPerDatagram; ++i) {
+      batch.push_back(test_envelope(static_cast<std::int64_t>(i)));
+    }
+    ASSERT_EQ(a.send_batch(0, 1, batch.data(), batch.size()), batch.size());
+    const auto start = std::chrono::steady_clock::now();
+    a.flush(0);
+    std::vector<std::int64_t> sent;
+    for (int i = 0; i < 3; ++i) sent.push_back(next_seq(raw, 1000));
+
+    std::int64_t retransmits[2] = {0, 0};
+    for (std::int64_t& after : retransmits) {
+      send_ack(raw, pair.sock_a.port, /*ack_cum=*/0, /*ack_bits=*/0b10);
+      ASSERT_TRUE(readable(pair.sock_a.fd, 1000));
+      a.poll_into(0, drop);
+      a.flush(0);
+      after = a.retransmits();
+    }
+    if (std::chrono::steady_clock::now() - start >= std::chrono::milliseconds(2)) continue;
+
+    EXPECT_EQ(sent, (std::vector<std::int64_t>{1, 2, 3}));
+    EXPECT_EQ(retransmits[0], 1);  // the hole, at once
+    EXPECT_EQ(retransmits[1], 1);  // once per frame; a lost resend is the timer's
+    EXPECT_EQ(next_seq(raw, 1000), 1);
+    EXPECT_EQ(next_seq(raw, 0), -1);  // seq 3 waits for its timer
+    return;
+  }
+  GTEST_SKIP() << "every attempt stalled past the 2 ms retransmit timer";
 }
 
 // --- engine level ------------------------------------------------------------

@@ -328,6 +328,29 @@ TEST(RunSpecParse, RejectsInconsistentAxes) {
                   "crash-window-us must be >= 0");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,delay-us=-5,exec=rt-sharded",
                   "delay-us must be >= 0");
+  // Times past a day, which overflow int64_t on their way to nanoseconds.
+  expect_rejected(
+      "bcast:binomial:checked:overlapped@P=8,crash-frac=0.5,"
+      "crash-window-us=9300000000000000,exec=rt-sharded:w=2",
+      "crash-window-us must be <= 86400000000");
+  expect_rejected(
+      "bcast:binomial:checked:overlapped@P=8,deadline-ms=9223372036854775807,"
+      "exec=rt-sharded",
+      "deadline-ms must be <= 86400000");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,delay-us=86400000001,exec=rt-sharded",
+                  "delay-us must be <= 86400000000");
+  expect_rejected(
+      "bcast:binomial:checked:overlapped@P=8,repair=1,revive-frac=1,crash-frac=2%,"
+      "revive-after-us=86400000001,exec=rt-sharded",
+      "revive-after-us must be <= 86400000000");
+  for (const char* at_ceiling :
+       {"crash-window-us=86400000000,exec=rt-sharded", "delay-us=86400000000,exec=rt-sharded",
+        "repair=1,revive-frac=1,crash-frac=2%,revive-after-us=86400000000,exec=rt-sharded",
+        "deadline-ms=86400000,exec=rt-sharded"}) {
+    SCOPED_TRACE(at_ceiling);
+    EXPECT_NO_THROW(exp::parse_run_spec(
+        std::string("bcast:binomial:checked:overlapped@P=8,") + at_ceiling));
+  }
   expect_rejected("bcast:binomial:checked:sync@P=8,sync=-4", "sync must be >= 0");
   expect_rejected("reduce:binomial:checked:overlapped@P=8,exec=rt-sharded",
                   "exec=sim");
